@@ -185,17 +185,20 @@ def layer_of(filename: str) -> str:
 
 
 #: exact-count metrics read from profiled call counts: metric -> (files
-#: under src/repro, a trailing ``/`` meaning a whole package, function name).
-#: The paper's poller (PFP) is defined in ``core/pfp.py``, so poller
-#: selections are counted there and in ``schedulers/``.
+#: under src/repro, a trailing ``/`` meaning a whole package, function
+#: names).  The paper's poller (PFP) is defined in ``core/pfp.py``, so
+#: poller selections are counted there and in ``schedulers/``.  Collision
+#: lookups are the occupancy-index queries of ``InterferenceField``: link
+#: channels call ``mean_collision_ber`` once per packet, and
+#: ``collisions`` answers single-slot queries.
 CALL_COUNTS = {
-    "sim.events": (("sim/engine.py",), "step"),
-    "baseband.transmits": (("baseband/channel.py",), "transmit"),
+    "sim.events": (("sim/engine.py",), ("step",)),
+    "baseband.transmits": (("baseband/channel.py",), ("transmit",)),
     "baseband.collision_lookups": (("baseband/interference.py",),
-                                   "collisions"),
-    "core.gs_polls": (("core/gs_manager.py",), "record_poll"),
-    "schedulers.selects": (("schedulers/", "core/pfp.py"), "select"),
-    "traffic.packets_offered": (("piconet/piconet.py",), "offer_packet"),
+                                   ("collisions", "mean_collision_ber")),
+    "core.gs_polls": (("core/gs_manager.py",), ("record_poll",)),
+    "schedulers.selects": (("schedulers/", "core/pfp.py"), ("select",)),
+    "traffic.packets_offered": (("piconet/piconet.py",), ("offer_packet",)),
 }
 
 
@@ -217,8 +220,8 @@ def layer_profile(profile) -> Tuple[Dict[str, float], Dict[str, int]]:
         if "/src/repro/" not in normalized:
             continue
         relative = normalized.rsplit("/src/repro/", 1)[1]
-        for metric, (files, name) in CALL_COUNTS.items():
-            if function != name:
+        for metric, (files, names) in CALL_COUNTS.items():
+            if function not in names:
                 continue
             matched = any(relative.startswith(f) if f.endswith("/")
                           else relative == f for f in files)

@@ -5,16 +5,18 @@ Run by ``run.py`` as ``python3 perfbench/bench_trial.py --workload NAME
 ``T`` is the parent's ``time.monotonic()`` just before it started this
 process (the clock is system-wide on Linux), so set-up time covers
 interpreter start, imports and registry, task planning and pool or worker
-spawn up to the first task start.
+spawn up to the first task start; it is reported at the reference speed
+of :class:`SpeedProbe`, sampled as the process begins and while it sets
+up.
 
 A trial runs every sweep of the workload cold into the fresh result store
 ``DIR``, then :data:`WARM_REPEATS` times with ``resume=True`` (the warm
 pass, which only reads), and prints one JSON object: timings, per-task
-seconds, row digests and correctness verdicts.  With ``--traced`` it also installs the
-:class:`bench_trace.Tracer` wrappers, profiles the serial simulation of the
-task list with ``cProfile`` (the cold pass itself for the serial backend, a
-separate uncached serial pass for the pooled ones) and adds the per-layer
-numbers under ``"trace"``.
+seconds, row digests and correctness verdicts.  With ``--traced`` it also
+installs the :class:`bench_trace.Tracer` wrappers, profiles the serial
+simulation of the task list with ``cProfile`` (the cold pass itself for
+the serial backend, a separate uncached serial pass for the pooled ones)
+and adds the per-layer numbers under ``"trace"``.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ class SpeedProbe:
 
     The benchmark host shares its CPUs: for seconds at a time it runs the
     same code up to ~1.7x slower, which moves a sweep's wall time by far
-    more than the bounds a change is judged by.  Timing this loop before,
-    between the tasks of, and after a serial sweep (and around each warm
-    pass) measures the speed the work ran at, so it can be reported at the
+    more than the bounds a change is judged by.  Timing this loop during
+    set-up, before, between the tasks of, and after a serial sweep (and
+    around each warm pass) measures the speed the work ran at, so it can be reported at the
     reference speed: ``seconds * REFERENCE_PROBE_S / mean(samples)``.  On
     ``coupled_room`` this cut the trial-to-trial variation of the sweep
     wall from 19% to 4%.  The loop is the benchmark's own code, so no
@@ -78,6 +80,12 @@ class SpeedProbe:
         """Seconds spent sampling before ``moment``."""
         return sum(seconds for seconds, ended in zip(self.samples, self.ended)
                    if ended <= moment)
+
+    def factor_until(self, moment: float) -> float:
+        """Reference-speed factor of the samples ended by ``moment``."""
+        return REFERENCE_PROBE_S / statistics.mean(
+            seconds for seconds, ended in zip(self.samples, self.ended)
+            if ended <= moment)
 
     def factor(self, first: int) -> float:
         """Reference-speed factor of the samples from index ``first`` on."""
@@ -161,14 +169,21 @@ def _children_cpu_seconds() -> float:
 
 
 def _peak_rss_mb() -> float:
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
+    """Peak RSS of this process's own address space (``VmHWM``).
+
+    ``ru_maxrss`` would not do: Linux keeps it across ``execve``, so it
+    would carry the peak of the process that started this one.
+    """
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+    raise RuntimeError("/proc/self/status has no VmHWM line")
 
 
-def run_trial(workload, seed: int, store: str, t0: float,
+def run_trial(workload, seed: int, store: str, t0: float, probe: SpeedProbe,
               traced: bool = False, spans_path: Optional[str] = None
               ) -> Dict[str, object]:
+    """Run the trial; ``probe`` holds a sample taken as the process began."""
     import repro.experiments  # noqa: F401  (registers every experiment)
     from repro.experiments.orchestrator import SweepRunner
 
@@ -176,7 +191,6 @@ def run_trial(workload, seed: int, store: str, t0: float,
     if traced:
         from bench_trace import Tracer
         tracer = Tracer().install()
-    probe = SpeedProbe()
     # the serial backend's cold pass is profiled in place; the pooled
     # backends' simulation runs in workers, so it is profiled separately
     profile = cProfile.Profile() if traced and not workload.pooled else None
@@ -228,10 +242,13 @@ def run_trial(workload, seed: int, store: str, t0: float,
 
     factor_of = {sweep.experiment: factor
                  for sweep, factor in zip(workload.sweeps, factors)}
+    first_start = recorder.first_start()
     out: Dict[str, object] = {
-        # the probe's own time is not set-up
-        "setup_s": recorder.first_start() - t0
-        - probe.spent_until(recorder.first_start()),
+        # the probe's own time is not set-up; the rest is scaled by the
+        # samples taken while setting up (at process start, after the
+        # imports and, on the serial backend, at the first task start)
+        "setup_s": (first_start - t0 - probe.spent_until(first_start))
+        * probe.factor_until(first_start),
         "sweep_wall_s": sum(cold_walls),
         "sweep_wall_ref_s": sum(wall * factor
                                 for wall, factor in zip(cold_walls, factors)),
@@ -367,10 +384,12 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", action="store_true")
     parser.add_argument("--spans")
     args = parser.parse_args(argv)
+    probe = SpeedProbe()
+    probe.sample()
     sys.path.insert(0, str(ROOT / "src"))
     from bench_workloads import get_workload
     result = run_trial(get_workload(args.workload, args.scale), args.seed,
-                       args.store, args.t0, args.traced, args.spans)
+                       args.store, args.t0, probe, args.traced, args.spans)
     print(json.dumps(result))
     return 0
 

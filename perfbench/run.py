@@ -81,14 +81,17 @@ def _check_tree() -> None:
 
 # ------------------------------------------------------------------ trials
 
-def _child_env(work: Path) -> Dict[str, str]:
+def _child_env() -> Dict[str, str]:
+    """The trial's environment: temporary files in its working directory.
+
+    The sweep runner's ``multiprocessing.Manager`` binds a unix socket in a
+    fresh directory under ``TMPDIR``.  A trial runs in the benchmark's work
+    directory with ``TMPDIR=.``, so that socket stays inside the checkout.
+    CPython before 3.12 keeps the socket's path relative, so it stays under
+    the 107-byte limit of a socket path however deep the checkout lies.
+    """
     env = os.environ.copy()
-    tmp = work / "tmp"
-    # multiprocessing puts unix sockets under TMPDIR; their paths are
-    # limited to 107 bytes, of which the pool adds about 32
-    if len(str(tmp)) <= 70:
-        tmp.mkdir(parents=True, exist_ok=True)
-        env["TMPDIR"] = str(tmp)
+    env["TMPDIR"] = "."
     return env
 
 
@@ -105,7 +108,7 @@ def run_trial(workload, seed: int, work: Path, index: int,
     t0 = time.monotonic()
     process = subprocess.Popen(
         command + ["--t0", repr(t0)], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=_child_env(work),
+        stderr=subprocess.PIPE, text=True, env=_child_env(), cwd=work,
         start_new_session=True)
     try:
         stdout, stderr = process.communicate(timeout=TRIAL_TIMEOUT_S)
