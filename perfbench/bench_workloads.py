@@ -55,10 +55,12 @@ class Workload:
         return self.backend != "serial"
 
 
-# admission_vs_ber: 16 points x 4 seed replications of a 0.5 s run -> 64
+# admission_vs_ber: 16 points x 16 seed replications of a 0.5 s run -> 256
 # short tasks, so per-task dispatch, compile and store I/O become a visible
-# share of the wall
-_FANOUT = (Sweep("admission_vs_ber", {"duration_seconds": 0.5}, 4),)
+# share of the wall.  At 64 tasks (a sweep of under a second) the batch
+# backend's wall spread by 0.08-0.16 of its median over runs; 256 tasks
+# make each trial's sweep long enough to be steady.
+_FANOUT = (Sweep("admission_vs_ber", {"duration_seconds": 0.5}, 16),)
 _FANOUT_TINY = (Sweep("admission_vs_ber",
                       {"duration_seconds": 0.1, "bit_error_rate": [0.0, 1e-3],
                        "interferer_duty": [0.0]}, 2),)
@@ -79,12 +81,12 @@ _FULL: Dict[str, Workload] = {
         backend="serial", workers=1),
     "fanout_batch": Workload(
         "fanout_batch",
-        "64 short admission_vs_ber tasks on the batch backend, 2 workers, "
+        "256 short admission_vs_ber tasks on the batch backend, 2 workers, "
         "cold then warm store pass: dispatch, compile and store I/O show",
         _FANOUT, backend="batch", workers=2),
     "fanout_remote": Workload(
         "fanout_remote",
-        "the same 64 tasks on the remote backend with 2 spawned loopback "
+        "the same 256 tasks on the remote backend with 2 spawned loopback "
         "workers: protocol, coordinator, registration and drain show",
         _FANOUT, backend="remote", workers=2),
 }

@@ -85,7 +85,8 @@ def test_tiny_traced_run(workload, tmp_path):
     assert metrics["piconet.transactions"] > 0
     # the coupled room carries no GS flows; the others do
     assert (metrics["core.gs_polls"] == 0) == (workload == "coupled_room")
-    # only the coupled room looks collisions up in an interference field
+    # at tiny scale only the coupled room has an interference field (the
+    # tiny fanout runs without interferers)
     assert (metrics["baseband.collision_lookups"] > 0) == (
         workload == "coupled_room")
     assert (metrics["fabric.chunks_dispatched"] > 0) == (
