@@ -34,8 +34,9 @@ from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: warm passes per trial
-WARM_REPEATS = 50
+#: warm passes per trial (at 256 tasks, 50 passes took a quarter of a
+#: trial and left room for only three trials in a 20 s run)
+WARM_REPEATS = 15
 #: iterations of the speed probe's loop, and the loop's time at the full
 #: speed of the reference host (a 2-CPU x86-64 virtual machine, CPython
 #: 3.11)
