@@ -37,6 +37,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: warm passes per trial (at 256 tasks, 50 passes took a quarter of a
 #: trial and left room for only three trials in a 20 s run)
 WARM_REPEATS = 15
+#: speed samples taken before and again after each pooled sweep
+POOLED_SAMPLES = 3
 #: iterations of the speed probe's loop, and the loop's time at the full
 #: speed of the reference host (a 2-CPU x86-64 virtual machine, CPython
 #: 3.11)
@@ -47,16 +49,16 @@ REFERENCE_PROBE_S = 0.0042
 class SpeedProbe:
     """Samples the host's current speed with a fixed pure-Python loop.
 
-    The benchmark host shares its CPUs: for seconds at a time it runs the
-    same code up to ~1.7x slower, which moves a sweep's wall time by far
-    more than the bounds a change is judged by.  Timing this loop during
-    set-up, before, between the tasks of, and after a serial sweep (and
-    around each warm pass) measures the speed the work ran at, so it can be reported at the
-    reference speed: ``seconds * REFERENCE_PROBE_S / mean(samples)``.  On
-    ``coupled_room`` this cut the trial-to-trial variation of the sweep
-    wall from 19% to 4%.  The loop is the benchmark's own code, so no
-    change to the program can move it; its own time is taken out of the
-    sweep's wall.
+    The benchmark host shares its CPUs: for seconds to minutes at a time it
+    runs the same code up to ~2x slower, which moves a sweep's wall time by
+    far more than the bounds a change is judged by.  Timing this loop
+    during set-up, before, between the tasks of, and after a serial sweep,
+    around a pooled sweep and after each warm pass measures the speed the
+    work ran at, so it can be reported at the reference speed: ``seconds *
+    REFERENCE_PROBE_S / mean(samples)``.  On ``coupled_room`` this cut the
+    trial-to-trial variation of the sweep wall from 19% to 4%.  The loop
+    is the benchmark's own code, so no change to the program can move it;
+    its own time is taken out of the sweep's wall.
     """
 
     def __init__(self):
@@ -204,28 +206,45 @@ def run_trial(workload, seed: int, store: str, t0: float, probe: SpeedProbe,
     if traced:
         _time_backend_calls(runner.backend, calls)
 
-    # pooled sweeps run on every CPU, where a probe would compete with the
-    # workers: they report host time
-    cold_walls, factors, results = [], [], []
+    # a pooled sweep runs on every CPU, where a probe would compete with
+    # the workers: the speed is sampled around it instead, and only the
+    # workers' CPU seconds, the part a slow host stretches, are brought to
+    # the reference speed; waiting, dispatch and I/O stay host time
+    cold_walls, ref_walls, factors, results = [], [], [], []
     children_cpu = _children_cpu_seconds()
     probe.sample()
     if profile is not None:
         profile.enable()
     for sweep in workload.sweeps:
+        if workload.pooled:
+            around = len(probe.samples)
+            for _sample in range(POOLED_SAMPLES):
+                probe.sample()
+            busy = _children_cpu_seconds()
         first, spent = len(probe.samples) - 1, probe.spent
         started = time.monotonic()
         results.append(runner.run(sweep.experiment, sweep.overrides,
                                   sweep.replications, master_seed=seed))
-        cold_walls.append(time.monotonic() - started - (probe.spent - spent))
-        if profile is None and not workload.pooled:
+        wall = time.monotonic() - started - (probe.spent - spent)
+        cold_walls.append(wall)
+        if workload.pooled:
+            busy = (_children_cpu_seconds() - busy) / workload.workers
+            for _sample in range(POOLED_SAMPLES):
+                probe.sample()
+            speed = REFERENCE_PROBE_S / statistics.median(
+                probe.samples[around:])
+            ref_walls.append(wall - (1.0 - speed) * busy)
+            factors.append(1.0)
+        elif profile is None:
             probe.sample()
             factors.append(probe.factor(first))
+            ref_walls.append(wall * factors[-1])
     if profile is not None:
         profile.disable()
         probe.sample()
         factors = [probe.factor(0)] * len(results)
-    if workload.pooled:
-        factors = [1.0] * len(results)
+        ref_walls = [wall * factor
+                     for wall, factor in zip(cold_walls, factors)]
     children_cpu = _children_cpu_seconds() - children_cpu
 
     # the warm pass takes milliseconds: sample the speed around each of
@@ -247,12 +266,12 @@ def run_trial(workload, seed: int, store: str, t0: float, probe: SpeedProbe,
     out: Dict[str, object] = {
         # the probe's own time is not set-up; the rest is scaled by the
         # samples taken while setting up (at process start, after the
-        # imports and, on the serial backend, at the first task start)
+        # imports, and at the first task start on the serial backend or
+        # before the first sweep on the pooled ones)
         "setup_s": (first_start - t0 - probe.spent_until(first_start))
         * probe.factor_until(first_start),
         "sweep_wall_s": sum(cold_walls),
-        "sweep_wall_ref_s": sum(wall * factor
-                                for wall, factor in zip(cold_walls, factors)),
+        "sweep_wall_ref_s": sum(ref_walls),
         "warm_wall_ref_s": statistics.median(warm_walls),
         "task_seconds_ref": [seconds * factor_of[experiment] for
                              experiment, seconds in recorder.task_seconds()],
