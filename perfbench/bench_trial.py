@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: warm passes per trial (at 256 tasks, 50 passes took a quarter of a
-#: trial and left room for only three trials in a 20 s run)
+#: warm passes per trial: enough for a steady median, few enough that a
+#: 20 s run fits five trials of a 256-task fanout workload
 WARM_REPEATS = 15
 #: speed samples taken before and again after each pooled sweep
 POOLED_SAMPLES = 3
