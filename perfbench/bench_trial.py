@@ -25,25 +25,41 @@ import argparse
 import cProfile
 import hashlib
 import json
+import os
 import resource
+import select
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
 #: warm passes per trial: enough for a steady median, few enough that a
-#: 20 s run fits five trials of a 256-task fanout workload
+#: 30 s run fits seven trials of a 256-task fanout workload
 WARM_REPEATS = 15
-#: speed samples taken before and again after each pooled sweep
+#: speed samples taken before each pooled sweep (they scale set-up time)
 POOLED_SAMPLES = 3
 #: iterations of the speed probe's loop, and the loop's time at the full
 #: speed of the reference host (a 2-CPU x86-64 virtual machine, CPython
 #: 3.11)
 PROBE_ITERATIONS = 40_000
 REFERENCE_PROBE_S = 0.0042
+#: the CPU sampler's shorter loop and the pause between its samples
+SAMPLER_ITERATIONS = 10_000
+SAMPLER_INTERVAL_S = 0.025
+
+
+def _probe_loop(iterations: int, clock=time.perf_counter) -> float:
+    """``clock`` seconds of a fixed pure-Python loop of ``iterations``."""
+    started = clock()
+    table: Dict[int, int] = {}
+    for index in range(iterations):
+        key = index & 1023
+        table[key] = table.get(key, 0) + index
+    return clock() - started
 
 
 class SpeedProbe:
@@ -53,12 +69,13 @@ class SpeedProbe:
     runs the same code up to ~2x slower, which moves a sweep's wall time by
     far more than the bounds a change is judged by.  Timing this loop
     during set-up, before, between the tasks of, and after a serial sweep,
-    around a pooled sweep and after each warm pass measures the speed the
+    and after each warm pass measures the speed the
     work ran at, so it can be reported at the reference speed: ``seconds *
     REFERENCE_PROBE_S / mean(samples)``.  On ``coupled_room`` this cut the
     trial-to-trial variation of the sweep wall from 19% to 4%.  The loop
     is the benchmark's own code, so no change to the program can move it;
-    its own time is taken out of the sweep's wall.
+    its own time is taken out of the sweep's wall.  Pooled sweeps are
+    measured by :class:`CpuSampler` instead.
     """
 
     def __init__(self):
@@ -69,12 +86,7 @@ class SpeedProbe:
         self.ended: List[float] = []
 
     def sample(self) -> None:
-        started = time.perf_counter()
-        table: Dict[int, int] = {}
-        for index in range(PROBE_ITERATIONS):
-            key = index & 1023
-            table[key] = table.get(key, 0) + index
-        elapsed = time.perf_counter() - started
+        elapsed = _probe_loop(PROBE_ITERATIONS)
         self.samples.append(elapsed)
         self.spent += elapsed
         self.ended.append(time.monotonic())
@@ -93,6 +105,87 @@ class SpeedProbe:
     def factor(self, first: int) -> float:
         """Reference-speed factor of the samples from index ``first`` on."""
         return REFERENCE_PROBE_S / statistics.mean(self.samples[first:])
+
+
+class CpuSampler:
+    """Samples the speed of every CPU while a pooled sweep runs.
+
+    The host's CPUs change speed independently of each other, up to ~1.7x
+    and for a fraction of a second to several seconds at a time, so a
+    pooled sweep, which runs on all of them, cannot be brought to the
+    reference speed by samples taken before and after it.  As a context
+    manager this forks one sampler process per CPU, pinned to it, that
+    times a short loop in its own CPU time (waiting for the CPU does not
+    count) every :data:`SAMPLER_INTERVAL_S` until the block ends.  The
+    samplers take a few percent of each CPU, the same in every run.
+    """
+
+    def __enter__(self) -> "CpuSampler":
+        self.samples: List[List[float]] = []
+        #: CPU seconds the samplers used (they count as this process's
+        #: children)
+        self.cpu_seconds = 0.0
+        self.failed = False
+        self._children = []
+        try:
+            for cpu in sorted(os.sched_getaffinity(0)):
+                self._children.append(self._fork(cpu))
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    @staticmethod
+    def _fork(cpu: int):
+        stop_read, stop_write = os.pipe()
+        out_read, out_write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(stop_write)
+                os.close(out_read)
+                os.sched_setaffinity(0, {cpu})
+                samples = []
+                while True:
+                    samples.append(_probe_loop(SAMPLER_ITERATIONS,
+                                               time.thread_time))
+                    if select.select([stop_read], [], [],
+                                     SAMPLER_INTERVAL_S)[0]:
+                        break
+                with os.fdopen(out_write, "w") as out:
+                    json.dump({"samples": samples,
+                               "cpu": time.process_time()}, out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(stop_read)
+        os.close(out_write)
+        return pid, stop_write, out_read
+
+    def __exit__(self, *_exc) -> None:
+        for _pid, stop_write, _out in self._children:
+            os.close(stop_write)
+        for pid, _stop, out_read in self._children:
+            with os.fdopen(out_read) as out:
+                text = out.read()
+            os.waitpid(pid, 0)
+            if text:
+                report = json.loads(text)
+                self.samples.append(report["samples"])
+                self.cpu_seconds += report["cpu"]
+            else:
+                self.failed = True
+        self._children = []
+
+    def factor(self) -> float:
+        """Reference-speed factor: the mean over CPUs of each CPU's mean
+        sample, against the reference host's time for the loop."""
+        if self.failed or not self.samples:
+            raise RuntimeError("a CPU sampler reported no samples")
+        reference = REFERENCE_PROBE_S * SAMPLER_ITERATIONS / PROBE_ITERATIONS
+        return reference / statistics.mean(
+            statistics.mean(samples) for samples in self.samples)
 
 
 class _Recorder:
@@ -206,35 +299,36 @@ def run_trial(workload, seed: int, store: str, t0: float, probe: SpeedProbe,
     if traced:
         _time_backend_calls(runner.backend, calls)
 
-    # a pooled sweep runs on every CPU, where a probe would compete with
-    # the workers: the speed is sampled around it instead, and only the
-    # workers' CPU seconds, the part a slow host stretches, are brought to
-    # the reference speed; waiting, dispatch and I/O stay host time
+    # a pooled sweep runs on every CPU, where the probe would compete with
+    # the workers and see the speed of one CPU only: the CPU sampler
+    # measures every CPU while the sweep runs, and the whole wall is
+    # brought to the reference speed, as for a serial sweep
     cold_walls, ref_walls, factors, results = [], [], [], []
     children_cpu = _children_cpu_seconds()
+    # when the first sweep began, and how long its samplers took to start
+    sweep_started: Optional[float] = None
+    sampler_start_s = 0.0
     probe.sample()
     if profile is not None:
         profile.enable()
     for sweep in workload.sweeps:
         if workload.pooled:
-            around = len(probe.samples)
             for _sample in range(POOLED_SAMPLES):
                 probe.sample()
-            busy = _children_cpu_seconds()
         first, spent = len(probe.samples) - 1, probe.spent
-        started = time.monotonic()
-        results.append(runner.run(sweep.experiment, sweep.overrides,
-                                  sweep.replications, master_seed=seed))
-        wall = time.monotonic() - started - (probe.spent - spent)
+        entered = time.monotonic()
+        with CpuSampler() if workload.pooled else nullcontext() as sampler:
+            started = time.monotonic()
+            if sweep_started is None:
+                sweep_started, sampler_start_s = started, started - entered
+            results.append(runner.run(sweep.experiment, sweep.overrides,
+                                      sweep.replications, master_seed=seed))
+            wall = time.monotonic() - started - (probe.spent - spent)
         cold_walls.append(wall)
         if workload.pooled:
-            busy = (_children_cpu_seconds() - busy) / workload.workers
-            for _sample in range(POOLED_SAMPLES):
-                probe.sample()
-            speed = REFERENCE_PROBE_S / statistics.median(
-                probe.samples[around:])
-            ref_walls.append(wall - (1.0 - speed) * busy)
-            factors.append(1.0)
+            children_cpu += sampler.cpu_seconds
+            factors.append(sampler.factor())
+            ref_walls.append(wall * factors[-1])
         elif profile is None:
             probe.sample()
             factors.append(probe.factor(first))
@@ -263,13 +357,22 @@ def run_trial(workload, seed: int, store: str, t0: float, probe: SpeedProbe,
     factor_of = {sweep.experiment: factor
                  for sweep, factor in zip(workload.sweeps, factors)}
     first_start = recorder.first_start()
+    # the probe's and the samplers' own time is not set-up, and the rest is
+    # scaled by the speed it ran at: the probe's samples taken while
+    # setting up (at process start, after the imports, and at the first
+    # task start on the serial backend or before the first sweep on the
+    # pooled ones); a pooled sweep's pool or worker spawn, from the sweep's
+    # start to its first task start, runs on every CPU and is scaled by
+    # the CPU samplers
+    if workload.pooled:
+        setup = (sweep_started - t0 - probe.spent_until(sweep_started)
+                 - sampler_start_s) * probe.factor_until(sweep_started) \
+            + (first_start - sweep_started) * factors[0]
+    else:
+        setup = (first_start - t0 - probe.spent_until(first_start)) \
+            * probe.factor_until(first_start)
     out: Dict[str, object] = {
-        # the probe's own time is not set-up; the rest is scaled by the
-        # samples taken while setting up (at process start, after the
-        # imports, and at the first task start on the serial backend or
-        # before the first sweep on the pooled ones)
-        "setup_s": (first_start - t0 - probe.spent_until(first_start))
-        * probe.factor_until(first_start),
+        "setup_s": setup,
         "sweep_wall_s": sum(cold_walls),
         "sweep_wall_ref_s": sum(ref_walls),
         "warm_wall_ref_s": statistics.median(warm_walls),

@@ -107,6 +107,12 @@ _TINY_SWEEPS: Dict[str, Tuple[Sweep, ...]] = {
 }
 
 WORKLOAD_NAMES = tuple(_FULL)
+#: workloads ``BENCHMARK.json`` leaves out.  In a fresh interpreter the
+#: remote fabric's shutdown drain waits out its whole 5 s timeout for the
+#: second worker's goodbye in some sweeps (3 of 20 in one series, most
+#: trials of a run at other times), so no median of the sweep wall over a
+#: run is steady; ``report.py`` and the smoke tests still run it.
+UNGATED = ("fanout_remote",)
 SCALES = ("full", "tiny")
 
 

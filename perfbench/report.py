@@ -25,7 +25,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import run  # noqa: E402
-from bench_workloads import WORKLOAD_NAMES, get_workload  # noqa: E402
+from bench_workloads import UNGATED, WORKLOAD_NAMES, get_workload  # noqa: E402
 
 
 def fingerprint() -> dict:
@@ -58,7 +58,8 @@ def main(argv=None) -> int:
     for name in WORKLOAD_NAMES:
         workload = get_workload(name)
         entry = {"backend": workload.backend, "workers": workload.workers,
-                 "sweeps": [sweep.to_dict() for sweep in workload.sweeps]}
+                 "sweeps": [sweep.to_dict() for sweep in workload.sweeps],
+                 "in_benchmark_json": name not in UNGATED}
         for trace in (False, True):
             print(f"\n=== {name} ({'traced' if trace else 'end to end'})")
             result = run.run_benchmark(name, args.seed, args.seconds, trace)

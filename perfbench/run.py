@@ -3,7 +3,7 @@
 Usage (from the repository root)::
 
     python3 perfbench/run.py --workload paper_piconet --seed 0 \\
-        --seconds 20 --trace 0
+        --seconds 30 --trace 0
 
 Each trial is a fresh interpreter (``bench_trial.py``) that runs the
 workload's sweeps cold into a fresh result store and then warm; trials
