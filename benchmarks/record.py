@@ -1,30 +1,34 @@
-"""Shared helper that persists benchmark results as ``BENCH_*.json``.
+"""Shared helper that merges benchmark results into ``BENCH_*.json``.
 
-Every benchmark that wants its numbers to survive the run (so the perf
-trajectory is recorded across PRs, not just printed to a terminal that
-scrolls away) calls :func:`record` with a scenario name, a variant label
-and the measured slots/wall pair.  Results merge read-modify-write into a
-single JSON artifact per benchmark family at the repository root (override
-the directory with ``REPRO_BENCH_DIR``), alongside a machine fingerprint
-so numbers from different hosts are never compared as if they were one
-series.
+Every benchmark that wants its numbers to survive the run calls
+:func:`record` with a scenario name, a variant label and the measured
+slots/wall pair.  Results merge into one payload per benchmark family,
+seeded from the committed artifact at the repository root, alongside a
+machine fingerprint so numbers from different hosts are never compared as
+if they were one series.
+
+The payload is written back only when ``REPRO_BENCH_DIR`` names an
+existing directory (``REPRO_BENCH_DIR=. pytest benchmarks`` refreshes the
+committed artifacts); a plain test run merges in memory and leaves every
+``BENCH_*.json`` untouched.  With ``REPRO_BENCH_DIR`` set, the payload is
+seeded from the artifact in that directory instead.
 
 Artifact shape::
 
     {
-      "benchmark": "master_loop",
+      "benchmark": "interference",
       "machine": {"python": ..., "platform": ..., "cpu_count": ...},
       "scenarios": {
-        "steady_state_poll": {
-          "event_loop":   {"slots": ..., "wall_seconds": ..., "slots_per_second": ...},
-          "batch_kernel": {...},
-          "speedup": 3.8
+        "collision_lookup_N32": {
+          "pairwise_scan":   {"slots": ..., "wall_seconds": ..., "slots_per_second": ...},
+          "occupancy_index": {...},
+          "speedup": 6.5
         }
       }
     }
 
-``speedup`` is (re)derived whenever both the ``event_loop`` and
-``batch_kernel`` variants of a scenario are present.
+``speedup`` is (re)derived whenever the caller names a
+``reference_variant``/``fast_variant`` pair and both are present.
 """
 
 from __future__ import annotations
@@ -32,16 +36,14 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
-#: directory override for the artifact (default: the repository root)
+#: directory the artifacts are written to (unset: nothing is written)
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
-#: variant labels the speedup is derived from
-REFERENCE_VARIANT = "event_loop"
-FAST_VARIANT = "batch_kernel"
+#: payloads merged so far in this process, by benchmark family
+_PAYLOADS: Dict[str, Dict[str, object]] = {}
 
 
 def machine_fingerprint() -> Dict[str, object]:
@@ -56,10 +58,17 @@ def machine_fingerprint() -> Dict[str, object]:
     }
 
 
-def artifact_path(benchmark: str) -> Path:
-    """Where the ``BENCH_<benchmark>.json`` artifact lives."""
+def bench_dir() -> Optional[Path]:
+    """The directory ``REPRO_BENCH_DIR`` names, if it is one."""
     directory = os.environ.get(BENCH_DIR_ENV)
-    root = Path(directory) if directory else Path(__file__).resolve().parents[1]
+    if directory and Path(directory).is_dir():
+        return Path(directory)
+    return None
+
+
+def artifact_path(benchmark: str) -> Path:
+    """Where the ``BENCH_<benchmark>.json`` artifact is read from."""
+    root = bench_dir() or Path(__file__).resolve().parents[1]
     return root / f"BENCH_{benchmark}.json"
 
 
@@ -76,21 +85,23 @@ def _load(path: Path, benchmark: str) -> Dict[str, object]:
 
 def record(benchmark: str, scenario: str, variant: str,
            slots: int, wall_seconds: float,
-           extra: Dict[str, object] = None,
-           reference_variant: str = REFERENCE_VARIANT,
-           fast_variant: str = FAST_VARIANT) -> Dict[str, object]:
-    """Merge one measurement into the benchmark's artifact and return it.
+           extra: Optional[Dict[str, object]] = None,
+           reference_variant: Optional[str] = None,
+           fast_variant: Optional[str] = None) -> Dict[str, object]:
+    """Merge one measurement into the benchmark's payload and return it.
 
-    The artifact always reflects the *latest* run of each
+    The payload always reflects the *latest* run of each
     (scenario, variant) pair on the current machine; the machine
-    fingerprint is refreshed on every write.  ``extra`` attaches
-    explanatory detail (e.g. the fast path's bailout counters) to the
-    variant entry; ``reference_variant``/``fast_variant`` rename the pair
-    the per-scenario ``speedup`` is derived from (benchmark families that
-    compare something other than event loop vs batch kernel).
+    fingerprint is refreshed on every call.  ``extra`` attaches
+    explanatory detail to the variant entry; when
+    ``reference_variant``/``fast_variant`` are given and both recorded,
+    the scenario also gets their ``speedup``.  The artifact is written
+    only when ``REPRO_BENCH_DIR`` names a directory.
     """
-    path = artifact_path(benchmark)
-    payload = _load(path, benchmark)
+    payload = _PAYLOADS.get(benchmark)
+    if payload is None:
+        payload = _PAYLOADS[benchmark] = _load(artifact_path(benchmark),
+                                               benchmark)
     payload["machine"] = machine_fingerprint()
     scenarios = payload.setdefault("scenarios", {})
     entry = scenarios.setdefault(scenario, {})
@@ -107,13 +118,8 @@ def record(benchmark: str, scenario: str, variant: str,
     if reference and fast and reference["slots_per_second"]:
         entry["speedup"] = round(
             fast["slots_per_second"] / reference["slots_per_second"], 2)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    if bench_dir() is not None:
+        artifact_path(benchmark).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
     return payload
-
-
-def recorded_speedup(benchmark: str, scenario: str) -> float:
-    """The artifact's current speedup for ``scenario`` (0.0 if absent)."""
-    payload = _load(artifact_path(benchmark), benchmark)
-    entry = payload.get("scenarios", {}).get(scenario, {})
-    return float(entry.get("speedup", 0.0))

@@ -2,19 +2,15 @@
 
 The master TDD loop is the hot path of every experiment in the repo — each
 simulated transaction walks the poller, both per-link channels, the flow
-queues and the reassembler.  Every scenario here runs twice, once on the
-per-slot reference event loop (``fast_path=False``) and once through the
-slot-batch kernel (:mod:`repro.piconet.batch_kernel`), and the pair lands
-in ``BENCH_master_loop.json`` via :mod:`record` so the speedup trajectory
-survives across PRs.  Because both paths are byte-identical by
-construction, each test also cross-checks the two runs' slot accounting.
+queues and the reassembler.  Every scenario runs once on the per-slot
+event loop, and its rate lands in ``BENCH_master_loop.json`` via
+:mod:`record` (written only when ``REPRO_BENCH_DIR`` names a directory).
 
 Scenarios:
 
-* ``steady_state_poll`` — the headline: one slave, one sourceless BE
-  downlink, round-robin poller, ideal channel.  Nothing ever enters the
-  event queue between start and stop, so the whole run is one kernel
-  window of POLL/NULL rounds — the case the fast path exists for.
+* ``steady_state_poll`` — one slave, one sourceless BE downlink,
+  round-robin poller, ideal channel: perpetual POLL/NULL rounds, the
+  loop's fixed per-transaction cost.
 * ``saturated_downlink`` — same piconet with a deep backlog of 16 kB
   higher-layer packets: every transaction moves a DH5 both ways, so the
   shared per-transaction work (queues, channel, reassembly) dominates.
@@ -26,15 +22,14 @@ Scenarios:
   co-located piconets, the most event-dense radio model in the repo.
 * ``churn_recovery_timeline`` — the dynamic-topology scenario: timeline
   events (interferer switches, mid-run renegotiation) land on the shared
-  clock while the kernel batches around them; the recorded
-  ``fast_path_stats`` carry the ``topology`` bailout counter.
+  clock of the master loop.
 """
 
 import time
 from dataclasses import replace
 
 from conftest import bench_duration
-from record import FAST_VARIANT, REFERENCE_VARIANT, record
+from record import record
 
 from repro.piconet.flows import BE, DOWNLINK
 from repro.scenario import compile_scenario
@@ -47,6 +42,9 @@ from repro.scenario.specs import (
     PollerSpec,
     ScenarioSpec,
 )
+
+#: the variant label of every entry in ``BENCH_master_loop.json``
+VARIANT = "event_loop"
 
 #: multi-slot types so the steady-state transaction bound is the realistic
 #: worst case, not the minimal DH1 round
@@ -73,14 +71,8 @@ def _gilbert_interference_spec() -> ScenarioSpec:
         interferer_duties=(0.6, 0.5, 0.4)))
 
 
-def _with_fast_path(spec: ScenarioSpec, fast: bool) -> ScenarioSpec:
-    return replace(spec, piconets=tuple(
-        replace(piconet, fast_path=fast) for piconet in spec.piconets))
-
-
-def _measure(spec: ScenarioSpec, fast: bool, duration_seconds: float,
-             prepare=None):
-    compiled = compile_scenario(_with_fast_path(spec, fast), seed=1)
+def _measure(spec: ScenarioSpec, duration_seconds: float, prepare=None):
+    compiled = compile_scenario(spec, seed=1)
     if prepare is not None:
         prepare(compiled)
     started = time.perf_counter()
@@ -90,68 +82,26 @@ def _measure(spec: ScenarioSpec, fast: bool, duration_seconds: float,
     return compiled, slots, wall
 
 
-def _bench_both_paths(spec: ScenarioSpec, duration_seconds: float,
-                      prepare=None):
-    """Run ``spec`` on both paths; reference first, so the warmed caches
-    (FEC tables) favour neither variant."""
-    results = {}
-    for variant, fast in ((REFERENCE_VARIANT, False), (FAST_VARIANT, True)):
-        results[variant] = _measure(spec, fast, duration_seconds, prepare)
-    return results
-
-
-def _report(benchmark, scenario: str, results) -> float:
-    """Record both variants in the BENCH artifact; returns the speedup.
-
-    The fast variant's entry carries the kernel's bailout counters
-    (``fast_path_stats``), so a scenario whose speedup is poor — e.g. the
-    event-dense figure-4 radio models — is explainable from the artifact
-    alone: the counters say how often (and why) the kernel fell back to
-    the per-slot event loop.
-    """
-    rates = {}
-    for variant, (compiled, slots, wall) in results.items():
-        extra = None
-        if variant == FAST_VARIANT:
-            extra = {"fast_path_stats":
-                     compiled.primary.piconet.fast_path_stats()}
-        payload = record("master_loop", scenario, variant, slots, wall,
-                         extra=extra)
-        rates[variant] = slots / wall if wall > 0 else float("inf")
-        benchmark.extra_info[f"{variant}_slots_per_second"] = round(
-            rates[variant])
-    speedup = payload["scenarios"][scenario]["speedup"]
-    benchmark.extra_info["speedup"] = speedup
-    for variant, rate in rates.items():
-        _, slots, wall = results[variant]
-        print(f"\n{scenario} [{variant}]: {slots} simulated slots in "
-              f"{wall:.3f}s wall ({rate:,.0f} slots/s)")
-    print(f"{scenario}: batch kernel speedup {speedup}x")
-    return speedup
-
-
-def _assert_paths_agree(results) -> None:
-    """Both paths must be byte-identical — compare the slot ledgers."""
-    reference, _, _ = results[REFERENCE_VARIANT]
-    fast, _, _ = results[FAST_VARIANT]
-    assert (fast.primary.piconet.slot_accounting()
-            == reference.primary.piconet.slot_accounting())
+def _bench(benchmark, scenario: str, spec: ScenarioSpec,
+           duration_seconds: float, prepare=None):
+    """Run ``spec`` once under pytest-benchmark and record its rate."""
+    compiled, slots, wall = benchmark.pedantic(
+        _measure, args=(spec, duration_seconds, prepare),
+        rounds=1, iterations=1, warmup_rounds=0)
+    record("master_loop", scenario, VARIANT, slots, wall)
+    rate = slots / wall if wall > 0 else float("inf")
+    benchmark.extra_info["slots_per_second"] = round(rate)
+    print(f"\n{scenario}: {slots} simulated slots in {wall:.3f}s wall "
+          f"({rate:,.0f} slots/s)")
+    return compiled, slots
 
 
 def test_bench_steady_state_poll(benchmark):
     duration = bench_duration(60.0)
-    results = benchmark.pedantic(
-        _bench_both_paths, args=(_steady_state_spec(), duration),
-        rounds=1, iterations=1, warmup_rounds=0)
-    speedup = _report(benchmark, "steady_state_poll", results)
-    _assert_paths_agree(results)
-    compiled, slots, _ = results[FAST_VARIANT]
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"] and stats["transactions"] > 0
+    compiled, slots = _bench(benchmark, "steady_state_poll",
+                             _steady_state_spec(), duration)
+    assert compiled.primary.piconet.transactions_be > 0
     assert slots >= duration * 1600 * 0.95
-    # the acceptance gate is >= 3x (see BENCH_master_loop.json); assert a
-    # softer floor here so a loaded CI machine cannot flake the suite
-    assert speedup >= 2.0
 
 
 def test_bench_saturated_downlink(benchmark):
@@ -162,13 +112,9 @@ def test_bench_saturated_downlink(benchmark):
         for _ in range(900):
             compiled.primary.piconet.offer_packet(1, 16000)
 
-    results = benchmark.pedantic(
-        _bench_both_paths, args=(_steady_state_spec(), duration, preload),
-        rounds=1, iterations=1, warmup_rounds=0)
-    _report(benchmark, "saturated_downlink", results)
-    _assert_paths_agree(results)
-    compiled, slots, _ = results[FAST_VARIANT]
-    assert compiled.primary.piconet.fast_path_stats()["transactions"] > 0
+    compiled, slots = _bench(benchmark, "saturated_downlink",
+                             _steady_state_spec(), duration, preload)
+    assert compiled.primary.piconet.transactions_be > 0
     assert slots >= duration * 1600 * 0.95
     delivered = sum(state.delivered_packets
                     for state in compiled.primary.piconet.flow_states())
@@ -177,13 +123,8 @@ def test_bench_saturated_downlink(benchmark):
 
 def test_bench_figure4_ideal(benchmark):
     duration = bench_duration(10.0)
-    spec = figure4_spec(delay_requirement=0.040)
-    results = benchmark.pedantic(
-        _bench_both_paths, args=(spec, duration),
-        rounds=1, iterations=1, warmup_rounds=0)
-    _report(benchmark, "figure4_ideal", results)
-    _assert_paths_agree(results)
-    compiled, slots, _ = results[FAST_VARIANT]
+    compiled, slots = _bench(benchmark, "figure4_ideal",
+                             figure4_spec(delay_requirement=0.040), duration)
     assert compiled.primary.all_gs_admitted
     assert slots >= duration * 1600 * 0.95
 
@@ -192,12 +133,7 @@ def test_bench_figure4_iid_lossy(benchmark):
     duration = bench_duration(10.0)
     spec = figure4_spec(delay_requirement=0.040,
                         channel=ChannelSpec(model="iid", ber=3e-4))
-    results = benchmark.pedantic(
-        _bench_both_paths, args=(spec, duration),
-        rounds=1, iterations=1, warmup_rounds=0)
-    _report(benchmark, "figure4_iid_lossy", results)
-    _assert_paths_agree(results)
-    compiled, slots, _ = results[FAST_VARIANT]
+    compiled, slots = _bench(benchmark, "figure4_iid_lossy", spec, duration)
     assert slots >= duration * 1600 * 0.95
     retx = sum(state.retransmissions
                for state in compiled.primary.piconet.flow_states())
@@ -206,12 +142,8 @@ def test_bench_figure4_iid_lossy(benchmark):
 
 def test_bench_figure4_gilbert_interference(benchmark):
     duration = bench_duration(10.0)
-    results = benchmark.pedantic(
-        _bench_both_paths, args=(_gilbert_interference_spec(), duration),
-        rounds=1, iterations=1, warmup_rounds=0)
-    _report(benchmark, "figure4_gilbert_interference", results)
-    _assert_paths_agree(results)
-    compiled, slots, _ = results[FAST_VARIANT]
+    compiled, slots = _bench(benchmark, "figure4_gilbert_interference",
+                             _gilbert_interference_spec(), duration)
     assert slots >= duration * 1600 * 0.95
     assert compiled.collision_probability() > 0
     retx = sum(state.retransmissions
@@ -223,16 +155,7 @@ def test_bench_churn_recovery_timeline(benchmark):
     from repro.scenario import churn_recovery_spec
 
     duration = bench_duration(10.0)
-    results = benchmark.pedantic(
-        _bench_both_paths, args=(churn_recovery_spec(), duration),
-        rounds=1, iterations=1, warmup_rounds=0)
-    _report(benchmark, "churn_recovery_timeline", results)
-    _assert_paths_agree(results)
-    compiled, slots, _ = results[FAST_VARIANT]
+    compiled, slots = _bench(benchmark, "churn_recovery_timeline",
+                             churn_recovery_spec(), duration)
     assert slots >= duration * 1600 * 0.95
-    # the timeline fired identically on both paths
-    reference, _, _ = results[REFERENCE_VARIANT]
-    assert compiled.timeline_log == reference.timeline_log
     assert len(compiled.timeline_log) == 9
-    assert "topology" in compiled.primary.piconet.fast_path_stats()[
-        "bailouts"]

@@ -2,11 +2,12 @@
 
 The :class:`SweepRunner` turns an :class:`~repro.experiments.registry.
 ExperimentSpec` into a list of (parameter point, seed replication) tasks,
-hands them to a pluggable :class:`ExecutionBackend` (inline, one process per
-task, or chunked batches of tasks per process), aggregates the replications
-of every point into mean / confidence-interval rows via
-:mod:`repro.analysis.stats`, and caches raw task results as JSON on disk
-keyed by ``(experiment, params, seed)`` so repeated sweeps are incremental.
+hands them to a pluggable :class:`ExecutionBackend` (inline, one pool
+submission per task, or chunked batches of tasks per submission),
+aggregates the replications of every point into mean /
+confidence-interval rows via :mod:`repro.analysis.stats`, and caches raw
+task results as JSON on disk keyed by ``(experiment, params, seed)`` so
+repeated sweeps are incremental.
 A progress callback can be attached to observe every completed task (the
 CLI's ``--progress`` flag wires it to a logging handler).
 
@@ -96,62 +97,30 @@ def execute_point(experiment: str, params: Dict[str, object],
     return list(rows)
 
 
-def execute_point_identified(experiment: str, params: Dict[str, object],
-                             seed: int) -> Tuple[str, List[Dict]]:
-    """Pool entry point: one task's rows plus the executing worker's id."""
-    return worker_identity(), execute_point(experiment, params, seed)
-
-
-def execute_point_reporting(start_queue, token: int, experiment: str,
-                            params: Dict[str, object], seed: int
-                            ) -> Tuple[str, List[Dict]]:
-    """Worker entry point announcing the task's start on ``start_queue``."""
-    identity = worker_identity()
-    start_queue.put((token, identity))
-    return identity, execute_point(experiment, params, seed)
-
-
-def execute_batch(tasks: Sequence[Tuple[str, Dict[str, object], int]],
+def execute_chunk(tasks: Sequence[Tuple[str, Dict[str, object], int]],
                   start_queue=None,
                   start_tokens: Optional[Sequence[int]] = None
-                  ) -> List[List[Dict]]:
-    """Worker entry point of the batching backend: run a chunk of tasks.
+                  ) -> Tuple[str, List[List[Dict]], float]:
+    """Worker entry point of the pool backends: run a chunk of tasks.
+
+    Returns the executing worker's identity, one row list per task and the
+    seconds the chunk took inside the worker.  The adaptive batching
+    backend sizes future chunks from that measurement; timing inside the
+    worker excludes the time the chunk spent queued behind busy workers,
+    which would otherwise inflate the cost estimate by roughly the
+    oversubscription factor.
 
     With ``start_queue``/``start_tokens`` the worker announces each task of
     the chunk as it *starts* (not just when the chunk's future resolves),
     so the parent's progress reporting ticks while long points run.
     """
-    results = []
+    started = time.monotonic()
     identity = worker_identity()
+    results = []
     for index, (experiment, params, seed) in enumerate(tasks):
         if start_queue is not None:
             start_queue.put((start_tokens[index], identity))
         results.append(execute_point(experiment, params, seed))
-    return results
-
-
-def execute_batch_identified(
-        tasks: Sequence[Tuple[str, Dict[str, object], int]],
-        start_queue=None, start_tokens: Optional[Sequence[int]] = None
-        ) -> Tuple[str, List[List[Dict]]]:
-    """:func:`execute_batch` plus the executing worker's identity."""
-    return worker_identity(), execute_batch(tasks, start_queue, start_tokens)
-
-
-def execute_batch_timed(tasks: Sequence[Tuple[str, Dict[str, object], int]],
-                        start_queue=None,
-                        start_tokens: Optional[Sequence[int]] = None
-                        ) -> Tuple[str, List[List[Dict]], float]:
-    """Like :func:`execute_batch_identified`, also with worker-side seconds.
-
-    The adaptive batching backend sizes future chunks from this
-    measurement; timing inside the worker excludes the time the chunk
-    spent queued behind busy workers, which would otherwise inflate the
-    cost estimate by roughly the oversubscription factor.
-    """
-    started = time.monotonic()
-    identity, results = execute_batch_identified(tasks, start_queue,
-                                                 start_tokens)
     return identity, results, time.monotonic() - started
 
 
@@ -271,34 +240,6 @@ class SerialBackend(ExecutionBackend):
                                             task.seed), me
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """One :class:`~concurrent.futures.ProcessPoolExecutor` task per sweep
-    task — the right choice when individual points are expensive."""
-
-    name = "process"
-
-    def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
-        if not pending:
-            return
-        reporter = self._start_reporter(pending)
-        queue = reporter.queue if reporter is not None else None
-
-        def submit(pool, slot, task):
-            if queue is not None:
-                return pool.submit(execute_point_reporting, queue, slot,
-                                   task.experiment, task.params, task.seed)
-            return pool.submit(execute_point_identified, task.experiment,
-                               task.params, task.seed)
-
-        with _optional(reporter), ProcessPoolExecutor(
-                max_workers=self.max_workers) as pool:
-            futures = [(slot, task, submit(pool, slot, task))
-                       for slot, task in pending]
-            for slot, task, future in futures:
-                worker, rows = future.result()
-                yield slot, task, rows, worker
-
-
 class BatchingProcessBackend(ExecutionBackend):
     """Ship contiguous chunks of tasks per pool submission.
 
@@ -374,23 +315,24 @@ class BatchingProcessBackend(ExecutionBackend):
         return [pending[start:start + size]
                 for start in range(0, len(pending), size)]
 
+    @staticmethod
+    def _submit(pool, batch: PendingTasks, queue):
+        """Submit one chunk to the pool (``queue``: the start reporter's)."""
+        return pool.submit(
+            execute_chunk,
+            [(task.experiment, task.params, task.seed) for _, task in batch],
+            queue, [slot for slot, _ in batch] if queue else None)
+
     def _execute_fixed(self, pending: PendingTasks
                        ) -> Iterator[CompletedTask]:
-        batches = self._chunk(pending)
         reporter = self._start_reporter(pending)
         queue = reporter.queue if reporter is not None else None
         with _optional(reporter), ProcessPoolExecutor(
                 max_workers=self.max_workers) as pool:
-            futures = [
-                (batch,
-                 pool.submit(execute_batch_identified,
-                             [(task.experiment, task.params, task.seed)
-                              for _, task in batch],
-                             queue,
-                             [slot for slot, _ in batch] if queue else None))
-                for batch in batches]
+            futures = [(batch, self._submit(pool, batch, queue))
+                       for batch in self._chunk(pending)]
             for batch, future in futures:
-                worker, results = future.result()
+                worker, results, _seconds = future.result()
                 for (slot, task), rows in zip(batch, results):
                     yield slot, task, rows, worker
 
@@ -430,12 +372,7 @@ class BatchingProcessBackend(ExecutionBackend):
                 size = self._next_batch_size(len(pending) - next_index)
                 batch = pending[next_index:next_index + size]
                 next_index += size
-                inflight.append((batch, pool.submit(
-                    execute_batch_timed,
-                    [(task.experiment, task.params, task.seed)
-                     for _, task in batch],
-                    queue,
-                    [slot for slot, _ in batch] if queue else None)))
+                inflight.append((batch, self._submit(pool, batch, queue)))
 
             while next_index < len(pending) and len(inflight) < window:
                 submit_one()
@@ -455,6 +392,17 @@ class BatchingProcessBackend(ExecutionBackend):
             yield from self._execute_fixed(pending)
         else:
             yield from self._execute_adaptive(pending)
+
+
+class ProcessPoolBackend(BatchingProcessBackend):
+    """One pool submission per sweep task — the right choice when
+    individual points are expensive.  The batching backend with a fixed
+    chunk size of 1."""
+
+    name = "process"
+
+    def __init__(self, max_workers: Optional[int] = None):
+        super().__init__(max_workers, batch_size=1)
 
 
 #: backend name -> class, for the CLI and :func:`make_backend`

@@ -27,8 +27,9 @@ reason about:
   chunks in submission order (buffering stragglers), which is what keeps
   remote sweep results byte-identical to the serial backend.
 * **Clean drain** — :meth:`Coordinator.shutdown` sends every live worker
-  ``shutdown``, waits briefly for the ``goodbye``/EOF, and closes the
-  listener; workers exit their serve loop with status 0.
+  ``shutdown``, waits under one shared deadline until each has said
+  ``goodbye`` or hung up (in any order), and closes the listener; workers
+  exit their serve loop with status 0.
 
 Workers may join at any time, including mid-sweep — a fresh worker is
 simply another assignment target on the next loop iteration.
@@ -158,15 +159,15 @@ class Coordinator:
         self._accepting = False
         with self._lock:
             workers = [w for w in self._workers if w.alive]
+        waiting = set()
         for worker in workers:
             try:
                 worker.sock.send({"type": protocol.SHUTDOWN})
             except OSError:
                 continue
-        deadline = time.monotonic() + drain_timeout
+            waiting.add(worker)
+        self._await_goodbyes(waiting, time.monotonic() + drain_timeout)
         for worker in workers:
-            remaining = max(0.0, deadline - time.monotonic())
-            self._await_goodbye(worker, remaining)
             worker.alive = False
             worker.sock.close()
         if self._listener is not None:
@@ -176,22 +177,24 @@ class Coordinator:
             self._accept_thread.join(timeout=2)
             self._accept_thread = None
 
-    def _await_goodbye(self, worker: _Worker, timeout: float) -> None:
-        """Drain the worker's reader until goodbye/EOF (bounded wait)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not worker.alive:
+    def _await_goodbyes(self, waiting: set, deadline: float) -> None:
+        """Drain the event queue until every worker in ``waiting`` said
+        goodbye or hung up, or ``deadline`` (monotonic) passes.
+
+        Goodbyes and EOFs are recorded per worker in whatever order they
+        arrive; everything else (results of an already-finished run,
+        heartbeats) is stale during the drain and dropped.
+        """
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 return
             try:
-                peer, message = self._events.get(timeout=0.05)
+                peer, message = self._events.get(timeout=remaining)
             except queue.Empty:
-                continue
-            if peer is worker and (
-                    message is None
-                    or message.get("type") == protocol.GOODBYE):
                 return
-            # anything else (e.g. another worker's goodbye) is irrelevant
-            # during drain; results of an already-finished run are stale
+            if message is None or message.get("type") == protocol.GOODBYE:
+                waiting.discard(peer)
 
     # ------------------------------------------------------------ accepting
 

@@ -4,7 +4,7 @@ A worker is one process (usually ``python -m repro.fabric worker --connect
 HOST:PORT``) that dials a coordinator, registers under a name, and then
 serves ``chunk`` messages: each chunk is a list of serialised sweep tasks
 (``[experiment, params, seed]`` triples) executed through the same
-:func:`repro.experiments.orchestrator.execute_batch` machinery every local
+:func:`repro.experiments.orchestrator.execute_point` every local
 backend uses — seeds are content-derived, so rows are byte-identical no
 matter which worker (or host) runs the task.  Before executing each task of
 a chunk the worker announces it (``task_start``), which doubles as liveness

@@ -42,7 +42,6 @@ from repro.baseband.segmentation import (
     ChannelAdaptiveSegmentationPolicy,
     Reassembler,
 )
-from repro.piconet.batch_kernel import BatchKernel, fast_path_disabled
 from repro.piconet.device import DeviceRegistry, Slave
 from repro.piconet.flows import DOWNLINK, FlowSpec, GS, HLPacket, UPLINK
 from repro.piconet.queues import FlowQueue
@@ -82,12 +81,6 @@ class PiconetConfig:
     adaptive_segmentation: bool = False
     #: the FEC type set the adaptive policy falls back to under loss
     robust_types: tuple = ("DM1", "DM3")
-    #: execute steady-state stretches through the batch kernel
-    #: (:mod:`repro.piconet.batch_kernel`) instead of per-slot event-loop
-    #: steps; results are byte-identical, only wall-clock speed differs.
-    #: The ``REPRO_NO_FAST_PATH`` environment variable (set by the CLI's
-    #: ``--no-fast-path`` flag) forces the reference loop regardless.
-    fast_path: bool = True
 
 
 @dataclass
@@ -128,12 +121,10 @@ class _Transaction:
     """In-flight state of one planned master/slave exchange.
 
     The plan layer (:meth:`Piconet._begin_transaction`) snapshots the
-    queues, packets and bridge presence; the execute layer is either the
-    event-loop generator (:meth:`Piconet._execute_transaction`) or the
-    batch kernel, and both drive the same commit helpers
-    (:meth:`Piconet._apply_downlink` / :meth:`Piconet._finish_transaction`)
-    so the two paths perform literally the same operations in the same
-    order — byte-identical results by construction.
+    queues, packets and bridge presence; the event-loop generator
+    (:meth:`Piconet._execute_transaction`) executes it and the commit
+    helpers (:meth:`Piconet._apply_downlink` /
+    :meth:`Piconet._finish_transaction`) book each direction.
     """
 
     __slots__ = ("plan", "start", "dl_state", "ul_state", "dl_segment",
@@ -197,17 +188,13 @@ class Piconet:
         #: path skips building PollOutcome/SegmentDelivery entirely)
         self._poller_wants_outcome = False
         #: link observers: ``fn(slave, direction, error)`` called for every
-        #: observed data transmission (both executors share the commit
-        #: helpers, so the batch kernel feeds them identically); empty for
-        #: every scenario that does not ask for budget-aware admission
+        #: observed data transmission; empty for every scenario that does
+        #: not ask for budget-aware admission
         self._link_observers: List[Callable[[int, str, bool], None]] = []
         #: air recorder: ``fn(start_us, slots)`` called when this piconet
         #: puts a transaction on the air (coupled interference feeds the
         #: shared field from it); ``None`` for every uncoupled scenario
         self._air_recorder: Optional[Callable[[int, int], None]] = None
-        self._batch_kernel = (BatchKernel(self)
-                              if self.config.fast_path
-                              and not fast_path_disabled() else None)
 
         # slot / transaction accounting
         self.slots_idle = 0
@@ -297,9 +284,8 @@ class Piconet:
         adopts a new residency schedule) is idempotent: the slave's
         absent/skipped-poll accounting restarts with the new schedule
         instead of layering it over the counts the old schedule produced,
-        and a topology change is signalled so the batch kernel and any
-        attached interference field drop state derived from the old
-        schedule.
+        and a topology change is signalled so any attached interference
+        field drops state derived from the old schedule.
         """
         if slave not in self.devices:
             raise ValueError(f"slave {slave} is not part of the piconet")
@@ -337,10 +323,8 @@ class Piconet:
         self._topology_listeners.append(listener)
 
     def _notify_topology_change(self) -> None:
-        """Invalidate executor/observer state derived from the topology."""
+        """Invalidate observer state derived from the topology."""
         self.topology_changes += 1
-        if self._batch_kernel is not None:
-            self._batch_kernel.notify_topology_change()
         slot_index = self.env.now // SLOT_US
         for listener in self._topology_listeners:
             listener(slot_index)
@@ -399,7 +383,7 @@ class Piconet:
 
     def add_flow_runtime(self, spec: FlowSpec) -> FlowState:
         """Register a *new* flow while the simulation runs (a timeline
-        ``flow-add``): :meth:`add_flow` plus the poller and fast-path
+        ``flow-add``): :meth:`add_flow` plus the poller and topology
         notifications construction-time registration does not need."""
         state = self.add_flow(spec)
         if self.poller is not None:
@@ -654,25 +638,17 @@ class Piconet:
         return accounting
 
     def fast_path_stats(self) -> dict:
-        """Batch-kernel window/bailout counters.
+        """Always ``{"enabled": False}``: there is no second executor.
 
-        Kept separate from :meth:`slot_accounting` on purpose: golden
-        fixtures byte-compare the accounting keys, and these counters
-        describe the executor, not the simulated system.  The returned
-        dict (including the nested ``bailouts`` mapping) is a fresh copy
-        on every call — callers that stash one piconet's stats (the
-        benchmark artifacts do) must never alias the kernel's live
-        counters, or a later run would mutate the recorded numbers.
+        The slot-batch kernel this reported on was deleted; the per-slot
+        event loop is the only master-loop executor.  The stub stays
+        because the traced benchmark (``perfbench/bench_trace.py``) still
+        reads it and then reports zero kernel windows and bailouts.
         """
-        if self._batch_kernel is None:
-            return {"enabled": False}
-        stats = self._batch_kernel.stats()
-        stats["bailouts"] = dict(stats["bailouts"])
-        return {"enabled": True, **stats}
+        return {"enabled": False}
 
     # ------------------------------------------------------------ master loop
     def _master_process(self):
-        kernel = self._batch_kernel
         while True:
             slot_index = self.env.now // SLOT_US
 
@@ -728,23 +704,9 @@ class Piconet:
                     if slot_index + dl_slots + ul_slots > next_reservation:
                         plan = None
 
-            # 4. steady-state stretches run through the batch kernel; it
-            #    executes the very same plan/commit helpers inline and
-            #    hands back whatever it could not consume (a plan is never
-            #    select-ed twice — pollers mutate state in select)
             if plan is None:
-                if kernel is not None and kernel.try_idle():
-                    continue
                 yield from self._idle()
                 continue
-
-            if kernel is not None:
-                plan = kernel.run(plan)
-                if plan is None:
-                    continue
-                if plan is BatchKernel.IDLE:
-                    yield from self._idle()
-                    continue
 
             yield from self._execute_transaction(plan)
 
@@ -759,11 +721,8 @@ class Piconet:
         yield self.env.timeout(advance * SLOT_US)
 
     # The transaction is split into plan (_begin_transaction), execute
-    # (either the generator below or the batch kernel) and commit
-    # (_apply_downlink / _finish_transaction).  The generator is the
-    # semantic reference: it only adds event-loop suspensions between the
-    # very same helper calls the kernel makes inline, so the two paths are
-    # byte-identical by construction.
+    # (the generator below) and commit (_apply_downlink /
+    # _finish_transaction).
     def _execute_transaction(self, plan: TransactionPlan):
         txn = self._begin_transaction(plan)
         # -- downlink ------------------------------------------------------

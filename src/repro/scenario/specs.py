@@ -465,9 +465,6 @@ class PiconetSpec:
     adaptive_segmentation: bool = False
     robust_types: Tuple[str, ...] = ("DM1", "DM3")
     align_even_slots: bool = True
-    #: run steady-state stretches through the batch kernel (byte-identical
-    #: to the event loop; ``False`` forces the per-slot reference path)
-    fast_path: bool = True
     channel: ChannelSpec = ChannelSpec()
     poller: PollerSpec = PollerSpec()
     improvements: ImprovementsSpec = ImprovementsSpec()
@@ -476,8 +473,6 @@ class PiconetSpec:
 
     def __post_init__(self) -> None:
         _require(bool(self.name), "a piconet needs a non-empty name")
-        _require(isinstance(self.fast_path, bool),
-                 f"fast_path must be a bool, got {self.fast_path!r}")
         for attribute in ("slaves", "flows", "sco_links", "allowed_types",
                           "robust_types"):
             object.__setattr__(self, attribute,

@@ -10,12 +10,11 @@ appends an outcome record to ``CompiledScenario.timeline_log`` — the
 row-visible trace the ``churn_recovery`` experiment (and any driver)
 reads back.
 
-Fast-path interaction: timeline events are ordinary scheduled events, so
-the :class:`~repro.piconet.batch_kernel.BatchKernel` horizon check already
-guarantees every inline window ends strictly before them — an event never
-fires mid-window.  Events that change the topology additionally flag the
-kernel (``topology`` bailout) so the first step *after* the event runs on
-the reference path.
+Timeline events are ordinary scheduled events on the master loop's clock.
+Events that change the topology additionally signal the piconet's
+topology listeners (counted as ``topology_changes`` in the slot ledger),
+so state derived from the old topology, such as a coupled interference
+field's cached collision lookups, is dropped.
 
 Event semantics
 ---------------

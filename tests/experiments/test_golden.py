@@ -57,20 +57,6 @@ def test_golden_rows_are_byte_identical(experiment):
         f"`python -m repro.experiments regen-golden {experiment}`")
 
 
-@pytest.mark.parametrize("experiment", experiment_names())
-def test_golden_rows_are_byte_identical_without_fast_path(experiment,
-                                                          monkeypatch):
-    # the slot-batch kernel must be invisible in the results: the same
-    # fixtures hold byte-for-byte with the fast path disabled (the
-    # REPRO_NO_FAST_PATH escape hatch the --no-fast-path CLI flag sets)
-    monkeypatch.setenv("REPRO_NO_FAST_PATH", "1")
-    diff = compare(experiment)
-    assert diff["actual"] == diff["expected"], (
-        f"{experiment}: the reference event loop diverged from the golden "
-        f"fixture — the fast path and the event loop are no longer "
-        f"byte-identical")
-
-
 def test_fixtures_parse_as_json_with_rows():
     for path in sorted(golden_dir().glob("*.json")):
         payload = json.loads(path.read_text(encoding="utf-8"))

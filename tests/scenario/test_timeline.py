@@ -6,9 +6,7 @@ driven end to end through a compiled scenario — park/unpark with GS
 withdraw/re-admission, mid-run flow add/remove, bridge roaming,
 interferer switching, and renegotiate-on-violation including the
 eviction path (a rejected renegotiation must fully detach the flow).
-The fast-path interaction is covered by running the same timeline
-scenario on the batch kernel and the reference event loop and comparing
-the ledgers byte for byte.
+A park/unpark run's slot ledger is pinned exactly.
 """
 
 import json
@@ -16,7 +14,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.piconet.batch_kernel import NO_FAST_PATH_ENV
 from repro.scenario import (
     EventSpec,
     ScenarioSpec,
@@ -255,40 +252,20 @@ def test_rejected_renegotiation_evicts_the_flow_completely():
     assert compiled.primary.gs_delay_summary()[1]["packets"] == delivered
 
 
-# -- runtime: fast-path byte-identity -----------------------------------------
+# -- runtime: the park/unpark ledger -----------------------------------------
 
-def _ledger(compiled):
-    primary = compiled.primary
-    return (primary.piconet.slot_accounting(),
-            primary.slave_throughputs_kbps(),
-            primary.gs_delay_summary(),
-            compiled.timeline_log)
-
-
-def test_park_unpark_byte_identical_fast_vs_reference(monkeypatch):
+def test_park_unpark_ledger():
     spec = _timeline_spec(
         EventSpec(at_s=0.2, kind="park", slave=1),
         EventSpec(at_s=0.4, kind="unpark", slave=1))
-
-    monkeypatch.delenv(NO_FAST_PATH_ENV, raising=False)
-    fast = compile_scenario(spec, seed=3)
-    fast.run(0.8)
-    assert fast.primary.piconet.fast_path_stats()["enabled"]
-
-    monkeypatch.setenv(NO_FAST_PATH_ENV, "1")
-    reference = compile_scenario(spec, seed=3)
-    reference.run(0.8)
-    assert not reference.primary.piconet.fast_path_stats()["enabled"]
-
-    assert _ledger(fast) == _ledger(reference)
-
-
-def test_timeline_events_bail_out_the_kernel():
-    spec = _timeline_spec(
-        EventSpec(at_s=0.2, kind="park", slave=4),
-        EventSpec(at_s=0.4, kind="unpark", slave=4))
-    compiled = compile_scenario(spec, seed=1)
+    compiled = compile_scenario(spec, seed=3)
     compiled.run(0.8)
-    stats = compiled.primary.piconet.fast_path_stats()
-    assert stats["enabled"]
-    assert stats["bailouts"]["topology"] >= 2  # one per topology change
+    primary = compiled.primary
+    assert primary.piconet.slot_accounting() == {
+        "gs": 582, "be": 694, "sco": 0, "idle": 0, "accounted": 1276,
+        "gs_polls_without_data": 14, "be_polls_without_data": 6,
+        "topology_changes": 2}
+    assert primary.slave_throughputs_kbps()[1] == 59.36
+    assert primary.gs_delay_summary()[1]["packets"] == 37
+    assert [event["kind"] for event in compiled.timeline_log] == [
+        "park", "unpark"]

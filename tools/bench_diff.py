@@ -18,19 +18,21 @@ benchmarks appear, retired ones disappear).  A machine-fingerprint
 mismatch prints a warning — numbers from different hosts are not one
 series — and can be escalated to an error with ``--require-same-machine``.
 
-To check a single scenario, regenerate the artifact into a scratch dir
-and diff it against the baseline — e.g. the dynamic-topology scenario
-recorded by ``test_bench_churn_recovery_timeline``::
+Tier-1 runs every bench but writes no artifact: ``benchmarks/record.py``
+writes only when ``REPRO_BENCH_DIR`` names an existing directory.  To
+check a single scenario, record it into a scratch dir and diff it
+against the baseline — e.g. the dynamic-topology scenario recorded by
+``test_bench_churn_recovery_timeline``::
 
-    REPRO_BENCH_DIR=/tmp PYTHONPATH=src python -m pytest \\
+    mkdir -p /tmp/bench && REPRO_BENCH_DIR=/tmp/bench PYTHONPATH=src \\
+        python -m pytest \\
         benchmarks/test_bench_master_loop.py::test_bench_churn_recovery_timeline
-    python tools/bench_diff.py BENCH_master_loop.json /tmp/BENCH_master_loop.json
+    python tools/bench_diff.py BENCH_master_loop.json /tmp/bench/BENCH_master_loop.json
 
-Only the freshly recorded ``churn_recovery_timeline`` rows appear on the
-new side; the others print as one-sided and never gate.  The fast
-variant's ``fast_path_stats`` ride along in the artifact (not diffed
-here), so a rate drop can be read against its bailout counters — e.g. a
-``topology`` count says the kernel kept bailing for timeline events.
+Only the freshly recorded ``churn_recovery_timeline`` row appears on the
+new side (an empty directory seeds an empty artifact); the others print
+as one-sided and never gate.  ``REPRO_BENCH_DIR=.`` from the repository
+root refreshes the committed artifacts in place.
 """
 
 from __future__ import annotations
