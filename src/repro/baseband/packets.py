@@ -140,7 +140,7 @@ def _next_packet_id() -> int:
     return _packet_counter
 
 
-@dataclass
+@dataclass(slots=True)
 class BasebandPacket:
     """One baseband packet on the air.
 

@@ -232,7 +232,7 @@ def segment_sizes(size: int, allowed_types: Iterable,
     return policy_cls(allowed_types).segment_sizes(size)
 
 
-@dataclass
+@dataclass(slots=True)
 class _PartialPacket:
     expected_next: int = 0
     received_bytes: int = 0
@@ -262,6 +262,23 @@ class Reassembler:
             arrives, a dictionary with keys ``flow_id``, ``hl_packet_id``,
             ``size``, ``arrival_time`` and ``segments``.
         """
+        if (segment.is_last_segment and segment.segment_index == 0
+                and not self._partial):
+            # a single-segment packet with nothing in reassembly: no state
+            # to track, only the size check
+            size = segment.hl_packet_size
+            if size and segment.payload != size:
+                raise SegmentationError(
+                    f"reassembled {segment.payload} bytes for packet "
+                    f"{(segment.flow_id, segment.hl_packet_id)}, "
+                    f"expected {size}")
+            return {
+                "flow_id": segment.flow_id,
+                "hl_packet_id": segment.hl_packet_id,
+                "size": segment.payload,
+                "arrival_time": segment.hl_arrival_time,
+                "segments": [segment],
+            }
         if not segment.carries_data and not segment.is_last_segment:
             return None
         key = (segment.flow_id, segment.hl_packet_id)

@@ -91,7 +91,7 @@ class FlowSpec:
                 and self.flow_id != other.flow_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class HLPacket:
     """A higher-layer (e.g. IP / L2CAP SDU) packet offered to a flow."""
 

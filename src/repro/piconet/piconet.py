@@ -117,21 +117,6 @@ class FlowState:
             self.crc_failures += 1
 
 
-class _Transaction:
-    """In-flight state of one planned master/slave exchange.
-
-    The plan layer (:meth:`Piconet._begin_transaction`) snapshots the
-    queues, packets and bridge presence; the event-loop generator
-    (:meth:`Piconet._execute_transaction`) executes it and the commit
-    helpers (:meth:`Piconet._apply_downlink` /
-    :meth:`Piconet._finish_transaction`) book each direction.
-    """
-
-    __slots__ = ("plan", "start", "dl_state", "ul_state", "dl_segment",
-                 "ul_segment", "dl_packet", "ul_packet", "deliveries",
-                 "bridge_absent", "dl_result", "dl_error", "ul_start")
-
-
 class Piconet:
     """A Bluetooth piconet: one master, up to seven slaves, one poller."""
 
@@ -339,10 +324,17 @@ class Piconet:
         transaction will serve its segments.  The state stays reachable
         through :meth:`flow_state` (as a retired flow), so an eviction or
         ``flow-remove`` does not erase the statistics the drivers report.
+        A flow bound to an SCO link is refused, like :meth:`park_slave`
+        refuses an SCO slave: its reserved slots keep serving it.
         """
-        state = self._states.pop(flow_id, None)
-        if state is None:
+        if flow_id not in self._states:
             raise KeyError(f"unknown flow id {flow_id}")
+        for slave, flows in self._sco_flows.items():
+            if flow_id in flows.values():
+                raise ValueError(
+                    f"flow {flow_id} is bound to the SCO link of slave "
+                    f"{slave}")
+        state = self._states.pop(flow_id)
         self._retired_states[flow_id] = state
         spec = state.spec
         slave = self.devices.slave(spec.slave)
@@ -455,10 +447,9 @@ class Piconet:
         The coupled interference mode wires this to
         :meth:`~repro.baseband.interference.InterferenceField.recorder`, so
         the piconet's *actual* air time — not a duty-cycle model — drives
-        every co-located piconet's collision BER.  Both executors fire it
-        from the shared transaction helpers, at the *start* of each
-        transaction, so the field only ever learns about slots at or after
-        the current virtual time."""
+        every co-located piconet's collision BER.  The master loop fires it
+        at the *start* of each transaction, so the field only ever learns
+        about slots at or after the current virtual time."""
         self._air_recorder = recorder
 
     # -------------------------------------------------------------- inspection
@@ -669,10 +660,12 @@ class Piconet:
             #     moves on) and the *same* slot can serve other traffic —
             #     re-selecting is bounded so a poller that keeps proposing
             #     absent bridges cannot spin the loop within one slot.
-            reselects = len(self.devices.slaves) + 1
+            reselects = None
             while (plan is not None
                     and plan.slave in self._negotiated_bridges
                     and not self._slave_present(plan.slave, self.env.now)):
+                if reselects is None:
+                    reselects = len(self.devices) + 1
                 self.bridge_skipped_polls += 1
                 self._bridge_skipped_by_slave[plan.slave] = (
                     self._bridge_skipped_by_slave.get(plan.slave, 0) + 1)
@@ -718,51 +711,41 @@ class Piconet:
         else:
             advance = 1
         self.slots_idle += advance
-        yield self.env.timeout(advance * SLOT_US)
+        yield self.env.sleep(advance * SLOT_US)
 
-    # The transaction is split into plan (_begin_transaction), execute
-    # (the generator below) and commit (_apply_downlink /
-    # _finish_transaction).
     def _execute_transaction(self, plan: TransactionPlan):
-        txn = self._begin_transaction(plan)
-        # -- downlink ------------------------------------------------------
-        yield self.env.timeout(txn.dl_packet.duration_us)
-        self._apply_downlink(txn)
-        # -- uplink ---------------------------------------------------------
-        yield self.env.timeout(txn.ul_packet.duration_us)
-        self._finish_transaction(txn)
+        """Run one planned master/slave exchange and book it.
 
-    def _begin_transaction(self, plan: TransactionPlan) -> _Transaction:
-        """Plan step: snapshot queues, packets and bridge presence."""
-        txn = _Transaction()
-        txn.plan = plan
-        txn.start = self.env._now
+        The queues, packets and bridge presence are snapshotted at the
+        master's transmission start (the paper's rule: a poll serves only
+        uplink data already queued then); each direction is committed when
+        its packet has left the air.  Each direction traverses its own link
+        channel, with the channel state advanced to the slot the packet
+        starts in, so the two directions lose independently; control
+        POLL/NULL packets are assumed to always get through.
+        """
+        env = self.env
+        start = env._now
+        slave = plan.slave
+        wants_outcome = self._poller_wants_outcome
 
         dl_state = (self._states.get(plan.dl_flow_id)
                     if plan.dl_flow_id is not None else None)
         ul_state = (self._states.get(plan.ul_flow_id)
                     if plan.ul_flow_id is not None else None)
-        txn.dl_state = dl_state
-        txn.ul_state = ul_state
-
         dl_segment = dl_state.queue.peek_segment() if dl_state is not None else None
         # Snapshot the uplink queue at master transmission start (paper rule).
         ul_segment = ul_state.queue.peek_segment() if ul_state is not None else None
-        txn.dl_segment = dl_segment
-        txn.ul_segment = ul_segment
-
-        txn.dl_packet = dl_segment if dl_segment is not None else _POLL_PACKET
-        txn.ul_packet = ul_segment if ul_segment is not None else _NULL_PACKET
+        dl_packet = dl_segment if dl_segment is not None else _POLL_PACKET
+        ul_packet = ul_segment if ul_segment is not None else _NULL_PACKET
+        dl_slots = dl_packet.ptype.slots
+        ul_slots = ul_packet.ptype.slots
 
         if self._air_recorder is not None:
             # the whole transaction span radiates (POLL/NULL included; an
             # absent bridge still hears the master's half) — reported at
-            # begin time, so the field never learns about past slots
-            self._air_recorder(
-                txn.start,
-                txn.dl_packet.ptype.slots + txn.ul_packet.ptype.slots)
-
-        txn.deliveries = []
+            # start time, so the field never learns about past slots
+            self._air_recorder(start, dl_slots + ul_slots)
 
         # A scatternet bridge that is currently residing in its other
         # piconet hears nothing: the transaction still burns its slots, but
@@ -770,112 +753,95 @@ class Piconet:
         # never received, the uplink answer never sent).  Presence is
         # evaluated per direction, so a handover mid-transaction loses
         # exactly the directions transmitted while away.
-        presence = self._bridge_presence.get(plan.slave)
+        presence = self._bridge_presence.get(slave)
         bridge_absent = (presence is not None
-                         and not presence(txn.start // SLOT_US))
-        txn.bridge_absent = bridge_absent
+                         and not presence(start // SLOT_US))
         if bridge_absent:
             self.bridge_absent_polls += 1
-            self._bridge_absent_by_slave[plan.slave] = (
-                self._bridge_absent_by_slave.get(plan.slave, 0) + 1)
-        return txn
+            self._bridge_absent_by_slave[slave] = (
+                self._bridge_absent_by_slave.get(slave, 0) + 1)
+        deliveries = [] if wants_outcome else None
 
-    def _apply_downlink(self, txn: _Transaction) -> None:
-        """Commit the downlink direction (clock sits at downlink end).
-
-        Each direction traverses its own link channel, with the channel
-        state advanced to the slot the packet starts in; losses in the two
-        directions are sampled independently (control POLL/NULL packets
-        are assumed to always get through, as before).
-        """
-        dl_segment = txn.dl_segment
+        # -- downlink ------------------------------------------------------
+        yield env.sleep(dl_slots * SLOT_US)
         if dl_segment is None:
             dl_result = TX_OK
-        elif txn.bridge_absent:  # presence at transaction start
-            dl_result = TX_NOT_RECEIVED
+            dl_error = False
         else:
-            dl_result = self.channels.transmit(txn.plan.slave, DOWNLINK,
-                                               txn.dl_packet, now_us=txn.start)
-        txn.dl_result = dl_result
-        txn.dl_error = dl_segment is not None and not dl_result.ok
-        if dl_segment is not None:
-            dl_state = txn.dl_state
-            if dl_result.ok:
-                dl_state.queue.confirm_segment()
-                delivery = self._deliver(
-                    dl_state, dl_segment,
-                    build_delivery=self._poller_wants_outcome)
-                if delivery is not None:
-                    txn.deliveries.append(delivery)
+            if bridge_absent:  # presence at transaction start
+                dl_result = TX_NOT_RECEIVED
             else:
+                dl_result = self.channels.transmit(slave, DOWNLINK,
+                                                   dl_packet, now_us=start)
+            dl_error = not dl_result.ok
+            if dl_error:
                 dl_state.record_failure(dl_result)
-            self._observe_transmission(dl_state, txn.dl_error)
-        txn.ul_start = self.env._now
+            else:
+                dl_state.queue.confirm_segment()
+                delivery = self._deliver(dl_state, dl_segment,
+                                         build_delivery=wants_outcome)
+                if delivery is not None:
+                    deliveries.append(delivery)
+            self._observe_transmission(dl_state, dl_error)
 
-    def _finish_transaction(self, txn: _Transaction) -> None:
-        """Commit the uplink direction and the transaction's accounting
-        (clock sits at transaction end)."""
-        plan = txn.plan
-        ul_segment = txn.ul_segment
+        # -- uplink ---------------------------------------------------------
+        ul_start = env._now
+        yield env.sleep(ul_slots * SLOT_US)
         if ul_segment is None:
             ul_result = TX_OK
-        elif not self._slave_present(plan.slave, txn.ul_start):
-            ul_result = TX_NOT_RECEIVED
+            ul_error = False
         else:
-            ul_result = self.channels.transmit(plan.slave, UPLINK,
-                                               txn.ul_packet,
-                                               now_us=txn.ul_start)
-        ul_error = ul_segment is not None and not ul_result.ok
-        if ul_segment is not None:
-            ul_state = txn.ul_state
-            if ul_result.ok:
-                ul_state.queue.confirm_segment()
-                delivery = self._deliver(
-                    ul_state, ul_segment,
-                    build_delivery=self._poller_wants_outcome)
-                if delivery is not None:
-                    txn.deliveries.append(delivery)
+            if not self._slave_present(slave, ul_start):
+                ul_result = TX_NOT_RECEIVED
             else:
+                ul_result = self.channels.transmit(slave, UPLINK, ul_packet,
+                                                   now_us=ul_start)
+            ul_error = not ul_result.ok
+            if ul_error:
                 ul_state.record_failure(ul_result)
+            else:
+                ul_state.queue.confirm_segment()
+                delivery = self._deliver(ul_state, ul_segment,
+                                         build_delivery=wants_outcome)
+                if delivery is not None:
+                    deliveries.append(delivery)
             self._observe_transmission(ul_state, ul_error)
 
-        dl_segment = txn.dl_segment
-        dl_result = txn.dl_result
-        slots = txn.dl_packet.ptype.slots + txn.ul_packet.ptype.slots
-        carried = (dl_segment is not None and dl_result.ok) \
-            or (ul_segment is not None and ul_result.ok)
+        # -- accounting -----------------------------------------------------
+        slots = dl_slots + ul_slots
+        dl_carried = dl_segment is not None and not dl_error
+        ul_carried = ul_segment is not None and not ul_error
         if plan.kind == KIND_GS:
             self.slots_gs += slots
             self.transactions_gs += 1
-            if not carried:
+            if not (dl_carried or ul_carried):
                 self.gs_polls_without_data += 1
         else:
             self.slots_be += slots
             self.transactions_be += 1
-            if not carried:
+            if not (dl_carried or ul_carried):
                 self.be_polls_without_data += 1
 
         # pollers that keep the base no-op notify never inspect outcomes,
         # so the objects are only built when someone will read them
-        if not self._poller_wants_outcome:
+        if not wants_outcome:
             return
-        outcome = PollOutcome(
+        self.poller.notify(PollOutcome(
             plan=plan,
-            start=txn.start,
-            end=self.env.now,
+            start=start,
+            end=env._now,
             slots=slots,
-            dl_carried_data=dl_segment is not None and dl_result.ok,
-            ul_carried_data=ul_segment is not None and ul_result.ok,
-            dl_error=txn.dl_error,
+            dl_carried_data=dl_carried,
+            ul_carried_data=ul_carried,
+            dl_error=dl_error,
             ul_error=ul_error,
             dl_not_received=dl_segment is not None and not dl_result.received,
             ul_not_received=ul_segment is not None and not ul_result.received,
-            dl_link=(plan.slave, DOWNLINK),
-            ul_link=(plan.slave, UPLINK),
-            bridge_absent=txn.bridge_absent,
-            deliveries=txn.deliveries,
-        )
-        self.poller.notify(outcome)
+            dl_link=(slave, DOWNLINK),
+            ul_link=(slave, UPLINK),
+            bridge_absent=bridge_absent,
+            deliveries=deliveries,
+        ))
 
     def _skipped_outcome(self, plan: TransactionPlan) -> PollOutcome:
         """The zero-slot outcome of a negotiated skip (nothing on the air).
@@ -906,7 +872,7 @@ class Piconet:
         start = self.env.now
         if self._air_recorder is not None:
             self._air_recorder(start, 2)
-        yield self.env.timeout(2 * SLOT_US)
+        yield self.env.sleep(2 * SLOT_US)
         self.slots_sco += 2
         for slot_offset, direction in enumerate((DOWNLINK, UPLINK)):
             flow_id = flows.get("DL" if direction == DOWNLINK else "UL")

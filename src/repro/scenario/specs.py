@@ -662,7 +662,9 @@ class EventSpec:
     * ``"flow-add"`` — ``flow`` (a full :class:`FlowSpec`) joins
       ``piconet``: flow state, traffic source and (for GS flows) admission.
     * ``"flow-remove"`` — ``flow_id`` leaves ``piconet``: source stopped,
-      admission withdrawn, flow state and queued segments detached.
+      admission withdrawn, flow state and queued segments detached.  A
+      flow bound to an SCO link cannot be removed (its reserved slots keep
+      serving it, as parking refuses an SCO slave).
     * ``"flow-renegotiate"`` — renegotiate-on-violation for ``flow_id``:
       when the flow's measured loss exceeds its admitted budget by
       ``tolerance`` (after ``min_observations`` link observations), the GS
@@ -895,6 +897,10 @@ class ScenarioSpec:
                          f"{where} names unknown flow id {event.flow_id} on "
                          f"piconet {target!r}")
                 if event.kind == "flow-remove":
+                    _require(event.flow_id not in piconet.sco_flow_ids,
+                             f"{where} would remove flow {event.flow_id}, "
+                             f"which is bound to an SCO link on piconet "
+                             f"{target!r}")
                     flow_ids[target].discard(event.flow_id)
                 else:
                     _require(target in gs_piconets,

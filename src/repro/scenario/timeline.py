@@ -109,7 +109,7 @@ def _runner(compiled: "CompiledScenario", cp: "CompiledPiconet",
     env = compiled.env
     delay = _to_us(event.at_s) - env.now
     if delay > 0:
-        yield env.timeout(delay)
+        yield env.sleep(delay)
     record = {"index": index, "at_s": event.at_s, "kind": event.kind,
               "piconet": cp.spec.name}
     if event.kind == "park":
@@ -289,4 +289,4 @@ def _run_renegotiate(compiled: "CompiledScenario", cp: "CompiledPiconet",
             record.update(outcome="not-flagged", attempts=attempts,
                           decided_at_s=now_s)
             return
-        yield env.timeout(_to_us(event.backoff_s))
+        yield env.sleep(_to_us(event.backoff_s))

@@ -10,7 +10,7 @@ in the paper:
 
     def source(env, queue):
         while True:
-            yield env.timeout(20_000)          # 20 ms in microseconds
+            yield env.sleep(20_000)            # 20 ms in microseconds
             queue.put(Packet(...))
 
 Public API

@@ -1,9 +1,27 @@
 """The discrete-event loop.
 
-The environment keeps a priority queue of ``(time, priority, sequence, event)``
-tuples.  Ties on time are broken first by an explicit priority (interrupts use
-a higher urgency than normal events) and then by insertion order, which makes
-runs fully deterministic.
+The environment keeps a priority queue of ``(time, priority, sequence,
+entry)`` tuples.  Ties on time are broken first by an explicit priority
+(interrupts use a higher urgency than normal events) and then by insertion
+order, which makes runs fully deterministic.
+
+A process can wait in two ways:
+
+* ``yield env.sleep(delay)`` — a plain process delay.  It pushes the
+  process's reusable wake entry straight onto the queue and allocates
+  nothing: no event object, no callbacks list, no callback dispatch.
+  :meth:`Environment.step` hands the popped entry directly to the process.
+  It takes one sequence number, exactly like a timeout created at the same
+  point, so same-instant ordering is the same either way.  The master loop
+  (twice per transaction, once per idle step) and the traffic sources
+  (once per packet) wait this way.
+* ``yield env.timeout(delay)`` — a :class:`~repro.sim.events.Timeout`
+  event.  Use it when the delay must be composed (``AllOf`` / ``AnyOf``),
+  carry a value, or be waited on by something other than the yielding
+  process.
+
+An interrupt renews the process's wake entry, so a wake-up scheduled by a
+sleep that the interrupt cut short is dropped when it is popped.
 
 Time is a plain number.  The Bluetooth layers of this project use integer
 microseconds so that the 625 us slot grid is exact, but the engine itself is
@@ -12,10 +30,10 @@ unit-agnostic.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
-from repro.sim.events import Event, Process, Timeout
+from repro.sim.events import SLEEPING, Event, Process, Timeout, _Wake
 
 #: Scheduling priority used for urgent events (interrupts).
 URGENT = 0
@@ -48,7 +66,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0):
         self._now = initial_time
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._queue: List[Tuple[float, int, int, Any]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
 
@@ -72,6 +90,24 @@ class Environment:
         """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
+    def sleep(self, delay):
+        """Suspend the running process for ``delay`` time units.
+
+        Use as ``yield env.sleep(delay)``, immediately: the wake-up is
+        scheduled by the call itself and the process resumes with ``None``.
+        Unlike :meth:`timeout` nothing is allocated; the returned sentinel
+        is not an event and cannot be composed or waited on elsewhere.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        process = self._active_process
+        if process is None:
+            raise RuntimeError("sleep() called outside a running process")
+        heappush(self._queue,
+                 (self._now + delay, NORMAL, self._eid, process._wake))
+        self._eid += 1
+        return SLEEPING
+
     def process(self, generator: Generator) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator)
@@ -88,8 +124,7 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------------
     def _schedule(self, event: Event, delay=0, priority: int = NORMAL) -> None:
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
         self._eid += 1
 
     def peek(self):
@@ -107,12 +142,20 @@ class Environment:
             If there are no scheduled events left.
         """
         try:
-            when, _prio, _eid, event = heapq.heappop(self._queue)
+            when, _prio, _eid, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
         if when < self._now:  # pragma: no cover - defensive
             raise RuntimeError("event scheduled in the past")
         self._now = when
+
+        if event.__class__ is _Wake:
+            # a sleeping process: resume it unless an interrupt renewed
+            # its wake entry since this one was scheduled
+            process = event.process
+            if process._wake is event:
+                process._resume(event)
+            return
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:

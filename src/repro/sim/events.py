@@ -124,6 +124,29 @@ class Timeout(Event):
         env._schedule(self, delay=delay)
 
 
+class _Wake:
+    """The heap entry of a sleeping process (see ``Environment.sleep``).
+
+    One instance per process is reused for every sleep; an interrupt
+    replaces it, so a wake-up scheduled before the interrupt no longer
+    matches ``process._wake`` and the environment drops it.  ``_ok`` and
+    ``_value`` let :meth:`Process._resume` treat it like a succeeded
+    event with value ``None``.
+    """
+
+    __slots__ = ("process",)
+    _ok = True
+    _value = None
+
+    def __init__(self, process: "Process"):
+        self.process = process
+
+
+#: what ``Environment.sleep`` returns: the process's wake-up is already
+#: scheduled, so :meth:`Process._resume` just suspends the generator
+SLEEPING = object()
+
+
 class Initialize(Event):
     """Internal event used to start a freshly created process."""
 
@@ -149,11 +172,13 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
+        self._wake = _Wake(self)
         Initialize(env, self)
 
     @property
     def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
+        """The event this process is currently waiting for (``None``
+        while it sleeps)."""
         return self._target
 
     @property
@@ -167,6 +192,8 @@ class Process(Event):
             raise RuntimeError("cannot interrupt a finished process")
         if self is self.env.active_process:
             raise RuntimeError("a process cannot interrupt itself")
+        # a new wake generation: a pending sleep's wake-up goes stale
+        self._wake = _Wake(self)
         event = Event(self.env)
         event._ok = False
         event._value = Interrupt(cause)
@@ -177,40 +204,47 @@ class Process(Event):
 
     # -- driving ------------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not Event.PENDING:
             # Already finished (e.g. interrupted after completion race).
             return
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         # Detach from the previous target (relevant for interrupts).
-        if self._target is not None and self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
-                self.env._schedule(self)
+                env._schedule(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self)
+                env._schedule(self)
                 break
 
+            if next_event is SLEEPING:
+                # env.sleep() already scheduled this process's wake-up
+                self._target = None
+                break
             if not isinstance(next_event, Event):
-                self._generator.throw(
+                generator.throw(
                     TypeError(f"process yielded a non-event: {next_event!r}"))
                 continue
-            if next_event.env is not self.env:
-                self._generator.throw(
+            if next_event.env is not env:
+                generator.throw(
                     ValueError("yielded event belongs to another environment"))
                 continue
 
@@ -222,7 +256,7 @@ class Process(Event):
             # Already processed: continue immediately with its outcome.
             event = next_event
 
-        self.env._active_process = None
+        env._active_process = None
 
 
 class Condition(Event):

@@ -85,7 +85,7 @@ class TrafficSource:
 
     def _run(self):
         if self.start_offset > 0:
-            yield self.piconet.env.timeout(_to_us(self.start_offset))
+            yield self.piconet.env.sleep(_to_us(self.start_offset))
         target_us = float(self.piconet.env.now)
         for gap in self._intervals():
             if self._stopped:
@@ -98,7 +98,7 @@ class TrafficSource:
             # simulator resolution) and must not be "repaid" later as an
             # unrealistic burst.
             target_us = max(target_us, self.piconet.env.now - 0.5)
-            yield self.piconet.env.timeout(self._delay_us(target_us))
+            yield self.piconet.env.sleep(self._delay_us(target_us))
 
 
 class CBRSource(TrafficSource):
@@ -161,7 +161,7 @@ class OnOffSource(TrafficSource):
 
     def _run(self):
         if self.start_offset > 0:
-            yield self.piconet.env.timeout(_to_us(self.start_offset))
+            yield self.piconet.env.sleep(_to_us(self.start_offset))
         while not self._stopped:
             on_duration = self.rng.expovariate(1.0 / self.mean_on)
             # Account the on-period in *simulated* time: the per-emission
@@ -177,9 +177,9 @@ class OnOffSource(TrafficSource):
                 self._emit()
                 target_us += self.interval * _US_PER_SECOND
                 target_us = max(target_us, self.piconet.env.now - 0.5)
-                yield self.piconet.env.timeout(self._delay_us(target_us))
+                yield self.piconet.env.sleep(self._delay_us(target_us))
             off_duration = self.rng.expovariate(1.0 / self.mean_off)
-            yield self.piconet.env.timeout(max(1, _to_us(off_duration)))
+            yield self.piconet.env.sleep(max(1, _to_us(off_duration)))
 
     def _intervals(self):  # pragma: no cover - _run is overridden
         raise NotImplementedError
@@ -196,13 +196,13 @@ class TraceSource(TrafficSource):
 
     def _run(self):
         if self.start_offset > 0:
-            yield self.piconet.env.timeout(_to_us(self.start_offset))
+            yield self.piconet.env.sleep(_to_us(self.start_offset))
         origin = self.piconet.env.now
         for when, size in self.trace:
             target = origin + _to_us(when)
             delay = target - self.piconet.env.now
             if delay > 0:
-                yield self.piconet.env.timeout(delay)
+                yield self.piconet.env.sleep(delay)
             if self._stopped:
                 return
             self.piconet.offer_packet(self.flow_id, size)

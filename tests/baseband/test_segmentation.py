@@ -105,6 +105,30 @@ def test_reassembler_detects_out_of_order(paper_policy):
         reassembler.push(packets[1])
 
 
+def test_reassembler_single_segment_packet(paper_policy):
+    reassembler = Reassembler()
+    (packet,) = paper_policy.segment(150, flow_id=1, hl_packet_id=7,
+                                     arrival_time=2.0)
+    result = reassembler.push(packet)
+    assert result == {"flow_id": 1, "hl_packet_id": 7, "size": 150,
+                      "arrival_time": 2.0, "segments": [packet]}
+    assert reassembler.pending == 0
+    # a single segment arriving while another packet is in reassembly
+    first = paper_policy.segment(300, flow_id=1, hl_packet_id=8)
+    assert reassembler.push(first[0]) is None
+    (single,) = paper_policy.segment(20, flow_id=1, hl_packet_id=9)
+    assert reassembler.push(single)["size"] == 20
+    assert reassembler.push(first[1])["size"] == 300
+    assert reassembler.pending == 0
+
+
+def test_reassembler_rejects_a_short_single_segment(paper_policy):
+    (packet,) = paper_policy.segment(150, flow_id=1, hl_packet_id=7)
+    packet.hl_packet_size = 151
+    with pytest.raises(SegmentationError, match="expected 151"):
+        Reassembler().push(packet)
+
+
 def test_max_segment_slots(paper_policy):
     assert paper_policy.max_segment_slots() == 3
     assert BestFitSegmentationPolicy(["DH1"]).max_segment_slots() == 1

@@ -23,7 +23,7 @@ from repro.scenario import (
     churn_recovery_spec,
     compile_scenario,
 )
-from repro.scenario.factories import figure4_spec
+from repro.scenario.factories import figure4_spec, multi_sco_piconet_spec
 
 
 def _timeline_spec(*events) -> ScenarioSpec:
@@ -269,3 +269,30 @@ def test_park_unpark_ledger():
     assert primary.gs_delay_summary()[1]["packets"] == 37
     assert [event["kind"] for event in compiled.timeline_log] == [
         "park", "unpark"]
+
+
+def _sco_flow_remove_spec() -> ScenarioSpec:
+    # flow 7 carries the SCO link of slave 6 in multi_sco_piconet_spec
+    return ScenarioSpec(
+        piconets=(multi_sco_piconet_spec(),),
+        timeline=TimelineSpec(events=(
+            EventSpec(at_s=0.1, kind="flow-remove", piconet="piconet",
+                      flow_id=7),)))
+
+
+def test_scenario_rejects_removing_an_sco_bound_flow():
+    assert 7 in multi_sco_piconet_spec().sco_flow_ids
+    with pytest.raises(ValueError, match="bound to an SCO link"):
+        _sco_flow_remove_spec()
+
+
+def test_piconet_refuses_to_detach_an_sco_bound_flow():
+    compiled = compile_scenario(
+        ScenarioSpec(piconets=(multi_sco_piconet_spec(),)), 0)
+    piconet = compiled.primary.piconet
+    with pytest.raises(ValueError, match="bound to the SCO link"):
+        piconet.detach_flow(7)
+    # the refused flow stays attached and its reserved slots keep serving
+    compiled.run(0.5)
+    assert piconet.flow_state(7) is piconet._states[7]
+    assert piconet.flow_state(7).segments_delivered > 0

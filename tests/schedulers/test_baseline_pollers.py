@@ -50,6 +50,24 @@ def test_poller_requires_attachment():
         poller.select(0)
 
 
+def test_downlink_has_data_sees_attached_parked_and_retired_flows():
+    poller = PureRoundRobinPoller()
+    with pytest.raises(RuntimeError, match="not attached"):
+        poller.downlink_has_data(3)
+    piconet = two_slave_piconet()
+    piconet.attach_poller(poller)
+    assert not poller.downlink_has_data(3)
+    piconet.offer_packet(3, 100)
+    assert poller.downlink_has_data(3)
+    piconet.park_slave(2)
+    assert poller.downlink_has_data(3)  # parked: the backlog stays
+    piconet.unpark_slave(2)
+    piconet.detach_flow(3)
+    assert poller.downlink_has_data(3)  # retired: queue kept with stats
+    with pytest.raises(KeyError):
+        poller.downlink_has_data(99)
+
+
 @pytest.mark.parametrize("factory", ALL_POLLERS)
 def test_every_baseline_delivers_offered_traffic(factory):
     piconet = two_slave_piconet()
