@@ -70,7 +70,7 @@ from repro.baseband.fec import (
     packet_error_probabilities,
 )
 from repro.baseband.packets import BasebandPacket
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, randbelow
 
 #: Channels of the 2.4 GHz Bluetooth hop set.
 HOP_CHANNELS = 79
@@ -114,16 +114,18 @@ class HopSequence:
         """Draw hop channels until ``length`` slots are materialised.
 
         Same RNG calls in the same order as repeated ``channel_at`` —
-        only the Python loop overhead is amortised.
+        only the Python loop overhead is amortised.  Each channel is
+        ``rng.randrange(channels)``, drawn through
+        :func:`~repro.sim.rng.randbelow`.
         """
         sequence = self._sequence
         if len(sequence) >= length:
             return
         append = sequence.append
-        randrange = self._rng.randrange
+        getrandbits = self._rng.getrandbits
         channels = self.channels
-        while len(sequence) < length:
-            append(randrange(channels))
+        for _ in range(length - len(sequence)):
+            append(randbelow(getrandbits, channels))
 
     def channels_until(self, length: int) -> List[int]:
         """The first ``length`` hop channels (a shared list; do not mutate)."""
@@ -528,15 +530,19 @@ class InterferenceField:
         activity = member._activity
         built = self._rows_built
         rows = self._rows
-        hops = member.hops
+        # rows exist only where every member's hops are already drawn
+        hops = member.hops.channels_until(min(end, built))
         for slot in range(start_slot, end):
             if activity[slot]:
                 continue
             activity[slot] = True
             if slot < built:
-                rows[slot][hops.channel_at(slot)] += 1
-        if built > start_slot:
-            for cache in self._victim_caches.values():
+                rows[slot][hops[slot]] += 1
+        # only a cache built past start_slot folded the old activity; in
+        # the causal event flow every cache ends at or before the current
+        # slot, so no report truncates anything
+        for cache in self._victim_caches.values():
+            if len(cache.counts) > start_slot:
                 cache.truncate(start_slot)
 
     # -- timeline switches ---------------------------------------------------

@@ -18,7 +18,7 @@ Two policies are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baseband.packets import BasebandPacket, PacketType, resolve_types
@@ -48,52 +48,62 @@ class SegmentationPolicy:
             sorted(data_types, key=lambda t: (t.max_payload, t.slots)))
         self.largest: PacketType = self.by_capacity[-1]
         self.smallest: PacketType = self.by_capacity[0]
+        #: size -> plan, filled on a size's first use: the split is a pure
+        #: function of the size under a static policy
+        self._plans: Dict[int, Tuple[Tuple[PacketType, int], ...]] = {}
 
     # -- interface ----------------------------------------------------------
     def choose_type(self, remaining: int) -> PacketType:
-        """Choose the packet type for the next segment given the remainder."""
+        """Choose the packet type for the next segment given the remainder.
+
+        Must be a pure function of ``remaining``: :meth:`plan` tables its
+        result per packet size.  A policy whose choice changes over time
+        overrides :meth:`plan` as well (see
+        :class:`ChannelAdaptiveSegmentationPolicy`).
+        """
         raise NotImplementedError
 
     # -- derived operations ----------------------------------------------------
-    def segment_sizes(self, size: int) -> List[Tuple[PacketType, int]]:
-        """Return the list of ``(packet_type, payload_bytes)`` segments.
+    def plan(self, size: int) -> Tuple[Tuple[PacketType, int], ...]:
+        """The ``(packet_type, payload_bytes)`` segments of ``size`` bytes.
 
         The segmentation is greedy front-to-back, as in the Bluetooth L2CAP
-        segmentation the paper assumes.
+        segmentation the paper assumes.  A plan is computed once per size
+        and then read from the policy's table (the returned tuple is
+        shared).
         """
-        if size <= 0:
-            raise SegmentationError(f"higher-layer packet size must be positive, got {size}")
-        remaining = int(size)
-        segments: List[Tuple[PacketType, int]] = []
-        while remaining > 0:
-            ptype = self.choose_type(remaining)
-            take = min(remaining, ptype.max_payload)
-            segments.append((ptype, take))
-            remaining -= take
-        return segments
+        plan = self._plans.get(size)
+        if plan is None:
+            if size <= 0:
+                raise SegmentationError(
+                    f"higher-layer packet size must be positive, got {size}")
+            remaining = int(size)
+            pieces = []
+            while remaining > 0:
+                ptype = self.choose_type(remaining)
+                take = min(remaining, ptype.max_payload)
+                pieces.append((ptype, take))
+                remaining -= take
+            plan = self._plans[size] = tuple(pieces)
+        return plan
+
+    def segment_sizes(self, size: int) -> List[Tuple[PacketType, int]]:
+        """Return the list of ``(packet_type, payload_bytes)`` segments."""
+        return list(self.plan(size))
 
     def segment_count(self, size: int) -> int:
         """Number of baseband packets (polls) needed for a packet of ``size``."""
-        return len(self.segment_sizes(size))
+        return len(self.plan(size))
 
     def segment(self, size: int, flow_id: Optional[int] = None,
                 hl_packet_id: Optional[int] = None,
                 arrival_time: Optional[float] = None) -> List[BasebandPacket]:
         """Build the actual :class:`BasebandPacket` segments for a packet."""
-        pieces = self.segment_sizes(size)
-        packets = []
-        for index, (ptype, payload) in enumerate(pieces):
-            packets.append(BasebandPacket(
-                ptype=ptype,
-                payload=payload,
-                flow_id=flow_id,
-                hl_packet_id=hl_packet_id,
-                segment_index=index,
-                is_last_segment=(index == len(pieces) - 1),
-                hl_packet_size=size,
-                hl_arrival_time=arrival_time,
-            ))
-        return packets
+        plan = self.plan(size)
+        last = len(plan) - 1
+        return [BasebandPacket(ptype, payload, flow_id, hl_packet_id, index,
+                               index == last, size, arrival_time)
+                for index, (ptype, payload) in enumerate(plan)]
 
     def max_segment_slots(self) -> int:
         """Slots of the largest baseband packet the policy can emit."""
@@ -214,6 +224,10 @@ class ChannelAdaptiveSegmentationPolicy(SegmentationPolicy):
     def choose_type(self, remaining: int) -> PacketType:
         return self.active.choose_type(remaining)
 
+    def plan(self, size: int) -> Tuple[Tuple[PacketType, int], ...]:
+        # the table of the type set in force: each mode keeps its own
+        return self.active.plan(size)
+
     def max_segment_slots(self) -> int:
         # worst case over both modes: the mode may flip between the SCO
         # guard's budgeting and the actual transmission
@@ -236,9 +250,6 @@ def segment_sizes(size: int, allowed_types: Iterable,
 class _PartialPacket:
     expected_next: int = 0
     received_bytes: int = 0
-    size: int = 0
-    arrival_time: Optional[float] = None
-    segments: List[BasebandPacket] = field(default_factory=list)
 
 
 class Reassembler:
@@ -252,59 +263,48 @@ class Reassembler:
     def __init__(self):
         self._partial: Dict[Tuple[Optional[int], Optional[int]], _PartialPacket] = {}
 
-    def push(self, segment: BasebandPacket) -> Optional[dict]:
-        """Feed one segment; return packet info when it completes a packet.
+    def push(self, segment: BasebandPacket) -> Optional[BasebandPacket]:
+        """Feed one segment; return it when it completes its packet.
 
         Returns
         -------
-        dict or None
-            ``None`` while the packet is incomplete.  When the last segment
-            arrives, a dictionary with keys ``flow_id``, ``hl_packet_id``,
-            ``size``, ``arrival_time`` and ``segments``.
+        BasebandPacket or None
+            ``None`` while the packet is incomplete.  The segment that
+            completes a packet is returned as its receipt: every segment
+            carries the packet's ``flow_id``, ``hl_packet_id``,
+            ``hl_packet_size`` and ``hl_arrival_time``, and the received
+            bytes are checked to add up to ``hl_packet_size``.
         """
         if (segment.is_last_segment and segment.segment_index == 0
                 and not self._partial):
             # a single-segment packet with nothing in reassembly: no state
             # to track, only the size check
-            size = segment.hl_packet_size
-            if size and segment.payload != size:
+            if segment.payload != segment.hl_packet_size:
                 raise SegmentationError(
                     f"reassembled {segment.payload} bytes for packet "
                     f"{(segment.flow_id, segment.hl_packet_id)}, "
-                    f"expected {size}")
-            return {
-                "flow_id": segment.flow_id,
-                "hl_packet_id": segment.hl_packet_id,
-                "size": segment.payload,
-                "arrival_time": segment.hl_arrival_time,
-                "segments": [segment],
-            }
+                    f"expected {segment.hl_packet_size}")
+            return segment
         if not segment.carries_data and not segment.is_last_segment:
             return None
         key = (segment.flow_id, segment.hl_packet_id)
-        state = self._partial.setdefault(key, _PartialPacket(
-            size=segment.hl_packet_size, arrival_time=segment.hl_arrival_time))
+        state = self._partial.get(key)
+        if state is None:
+            state = self._partial[key] = _PartialPacket()
         if segment.segment_index != state.expected_next:
             raise SegmentationError(
                 f"out-of-order segment {segment.segment_index} for packet "
                 f"{key}; expected {state.expected_next}")
         state.expected_next += 1
         state.received_bytes += segment.payload
-        state.segments.append(segment)
         if not segment.is_last_segment:
             return None
         del self._partial[key]
-        if state.size and state.received_bytes != state.size:
+        if state.received_bytes != segment.hl_packet_size:
             raise SegmentationError(
                 f"reassembled {state.received_bytes} bytes for packet {key}, "
-                f"expected {state.size}")
-        return {
-            "flow_id": segment.flow_id,
-            "hl_packet_id": segment.hl_packet_id,
-            "size": state.received_bytes,
-            "arrival_time": state.arrival_time,
-            "segments": list(state.segments),
-        }
+                f"expected {segment.hl_packet_size}")
+        return segment
 
     @property
     def pending(self) -> int:

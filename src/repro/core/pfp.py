@@ -284,7 +284,7 @@ class PredictiveFairPoller(Poller):
             prediction.last_empty_at = outcome.start
             prediction.consecutive_empty += 1
         for delivery in outcome.deliveries:
-            if delivery.flow_id == ul_flow and delivery.completed_at is not None:
+            if delivery.flow_id == ul_flow and delivery.is_last_segment:
                 prediction.packets_seen += 1
 
     # ------------------------------------------------------------------ report

@@ -97,8 +97,22 @@ def execute_point(experiment: str, params: Dict[str, object],
     return list(rows)
 
 
+#: the start queue of a pool worker process, set by the pool's initializer
+#: (:func:`_install_start_queue`); ``None`` when nobody listens for starts
+_worker_start_queue = None
+
+
+def _install_start_queue(queue) -> None:
+    """Pool initializer: keep the parent's start queue for this worker.
+
+    A :class:`multiprocessing.SimpleQueue` cannot travel inside a task
+    submission, but it can be handed to a worker process when it starts.
+    """
+    global _worker_start_queue
+    _worker_start_queue = queue
+
+
 def execute_chunk(tasks: Sequence[Tuple[str, Dict[str, object], int]],
-                  start_queue=None,
                   start_tokens: Optional[Sequence[int]] = None
                   ) -> Tuple[str, List[List[Dict]], float]:
     """Worker entry point of the pool backends: run a chunk of tasks.
@@ -110,16 +124,17 @@ def execute_chunk(tasks: Sequence[Tuple[str, Dict[str, object], int]],
     which would otherwise inflate the cost estimate by roughly the
     oversubscription factor.
 
-    With ``start_queue``/``start_tokens`` the worker announces each task of
-    the chunk as it *starts* (not just when the chunk's future resolves),
-    so the parent's progress reporting ticks while long points run.
+    With ``start_tokens`` the worker announces each task of the chunk on
+    its start queue as it *starts* (not just when the chunk's future
+    resolves), so the parent's progress reporting ticks while long points
+    run.  The announcements are written before the chunk returns.
     """
     started = time.monotonic()
     identity = worker_identity()
     results = []
     for index, (experiment, params, seed) in enumerate(tasks):
-        if start_queue is not None:
-            start_queue.put((start_tokens[index], identity))
+        if start_tokens is not None:
+            _worker_start_queue.put((start_tokens[index], identity))
         results.append(execute_point(experiment, params, seed))
     return identity, results, time.monotonic() - started
 
@@ -127,20 +142,23 @@ def execute_chunk(tasks: Sequence[Tuple[str, Dict[str, object], int]],
 class _StartReporter:
     """Ships per-task start notifications out of worker processes.
 
-    A :mod:`multiprocessing` manager queue is handed to every worker
-    submission (manager proxies — unlike raw ``multiprocessing.Queue``
-    objects — survive pickling into :class:`~concurrent.futures.
-    ProcessPoolExecutor` submissions under any start method); a daemon
-    thread in the parent drains it and invokes the callback with each
-    started slot.  One proxy round trip per task start is cheap next to a
-    simulation point, and the whole machinery is only built when a
-    progress callback is attached.
+    Workers write ``(slot, worker_identity)`` pairs to a
+    :class:`multiprocessing.SimpleQueue` they receive through the pool's
+    initializer (:func:`_install_start_queue`); a daemon thread in the
+    parent drains it and invokes the callback with each started slot.  A
+    put is one pipe write, with no server process to round-trip to, and
+    the whole machinery is only built when a progress callback is
+    attached.
     """
+
+    #: how long :meth:`wait_started` waits for the drain thread at most
+    WAIT_SECONDS = 10.0
 
     def __init__(self, callback: Callable[[int, Optional[str]], None]):
         self._callback = callback
-        self._manager = multiprocessing.Manager()
-        self.queue = self._manager.Queue()
+        self.queue = multiprocessing.SimpleQueue()
+        self._reported: set = set()
+        self._condition = threading.Condition()
         self._thread = threading.Thread(
             target=self._drain, name="sweep-start-reporter", daemon=True)
 
@@ -153,18 +171,30 @@ class _StartReporter:
             token = self.queue.get()
             if token is None:
                 return
-            # workers put ``(slot, worker_identity)`` pairs
-            slot, worker = token if isinstance(token, tuple) else (token,
-                                                                   None)
+            slot, worker = token
             try:
                 self._callback(slot, worker)
             except Exception:  # never let a callback kill the drain thread
                 progress_logger.exception("start-progress callback failed")
+            with self._condition:
+                self._reported.add(slot)
+                self._condition.notify_all()
+
+    def wait_started(self, slots: Sequence[int]) -> None:
+        """Block until the starts of ``slots`` have been reported.
+
+        A chunk's workers wrote its starts before the chunk's result
+        arrived, so the backend calls this before it reports the chunk's
+        tasks done: every start then reaches the callback before its done.
+        """
+        with self._condition:
+            self._condition.wait_for(
+                lambda: self._reported.issuperset(slots), self.WAIT_SECONDS)
 
     def __exit__(self, *exc_info) -> None:
         self.queue.put(None)
         self._thread.join(timeout=10)
-        self._manager.shutdown()
+        self.queue.close()
 
 
 def _optional(context_manager):
@@ -315,26 +345,41 @@ class BatchingProcessBackend(ExecutionBackend):
         return [pending[start:start + size]
                 for start in range(0, len(pending), size)]
 
+    def _pool(self, workers: Optional[int],
+              reporter: Optional[_StartReporter]) -> ProcessPoolExecutor:
+        """A pool whose workers hold the reporter's start queue."""
+        return ProcessPoolExecutor(
+            max_workers=workers, initializer=_install_start_queue,
+            initargs=(reporter.queue if reporter is not None else None,))
+
     @staticmethod
-    def _submit(pool, batch: PendingTasks, queue):
-        """Submit one chunk to the pool (``queue``: the start reporter's)."""
+    def _submit(pool, batch: PendingTasks, reporter):
+        """Submit one chunk to the pool (announcing starts to
+        ``reporter``, if any)."""
         return pool.submit(
             execute_chunk,
             [(task.experiment, task.params, task.seed) for _, task in batch],
-            queue, [slot for slot, _ in batch] if queue else None)
+            [slot for slot, _ in batch] if reporter is not None else None)
+
+    @staticmethod
+    def _completed(batch: PendingTasks, results, worker,
+                   reporter) -> Iterator[CompletedTask]:
+        """One chunk's completed tasks, after their starts."""
+        if reporter is not None:
+            reporter.wait_started([slot for slot, _ in batch])
+        for (slot, task), rows in zip(batch, results):
+            yield slot, task, rows, worker
 
     def _execute_fixed(self, pending: PendingTasks
                        ) -> Iterator[CompletedTask]:
         reporter = self._start_reporter(pending)
-        queue = reporter.queue if reporter is not None else None
-        with _optional(reporter), ProcessPoolExecutor(
-                max_workers=self.max_workers) as pool:
-            futures = [(batch, self._submit(pool, batch, queue))
+        with _optional(reporter), self._pool(self.max_workers,
+                                             reporter) as pool:
+            futures = [(batch, self._submit(pool, batch, reporter))
                        for batch in self._chunk(pending)]
             for batch, future in futures:
                 worker, results, _seconds = future.result()
-                for (slot, task), rows in zip(batch, results):
-                    yield slot, task, rows, worker
+                yield from self._completed(batch, results, worker, reporter)
 
     # ------------------------------------------------------- adaptive mode
     def _observe_batch(self, batch_seconds: float, batch_size: int) -> None:
@@ -347,14 +392,23 @@ class BatchingProcessBackend(ExecutionBackend):
                 per_task - self._task_cost_ewma)
 
     def _next_batch_size(self, remaining: int) -> int:
-        """Chunk size for the next submission given the observed cost."""
+        """Chunk size for the next submission given the observed cost.
+
+        Never more than ``ceil(remaining / (2 * workers))``: the chunks
+        shrink with the work left, so the last ones spread over every
+        worker instead of leaving one to finish a large chunk alone.
+        """
         if self._task_cost_ewma is None:
             # probe batches stay small until a cost estimate exists
             return 1
+        workers = self.max_workers or os.cpu_count() or 1
+        tail = math.ceil(remaining / (2 * workers))
         if self._task_cost_ewma <= 0:
-            return min(remaining, self.max_batch_size)
-        size = int(round(self.target_batch_seconds / self._task_cost_ewma))
-        return max(1, min(size, self.max_batch_size, remaining))
+            size = self.max_batch_size
+        else:
+            size = int(round(self.target_batch_seconds
+                             / self._task_cost_ewma))
+        return max(1, min(size, self.max_batch_size, tail))
 
     def _execute_adaptive(self, pending: PendingTasks
                           ) -> Iterator[CompletedTask]:
@@ -363,16 +417,14 @@ class BatchingProcessBackend(ExecutionBackend):
         next_index = 0
         inflight: List[Tuple[PendingTasks, object]] = []
         reporter = self._start_reporter(pending)
-        queue = reporter.queue if reporter is not None else None
-        with _optional(reporter), ProcessPoolExecutor(
-                max_workers=workers) as pool:
+        with _optional(reporter), self._pool(workers, reporter) as pool:
 
             def submit_one() -> None:
                 nonlocal next_index
                 size = self._next_batch_size(len(pending) - next_index)
                 batch = pending[next_index:next_index + size]
                 next_index += size
-                inflight.append((batch, self._submit(pool, batch, queue)))
+                inflight.append((batch, self._submit(pool, batch, reporter)))
 
             while next_index < len(pending) and len(inflight) < window:
                 submit_one()
@@ -382,8 +434,7 @@ class BatchingProcessBackend(ExecutionBackend):
                 self._observe_batch(worker_seconds, len(batch))
                 while next_index < len(pending) and len(inflight) < window:
                     submit_one()
-                for (slot, task), rows in zip(batch, results):
-                    yield slot, task, rows, worker
+                yield from self._completed(batch, results, worker, reporter)
 
     def execute(self, pending: PendingTasks) -> Iterator[CompletedTask]:
         if not pending:

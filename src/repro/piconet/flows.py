@@ -98,7 +98,7 @@ class HLPacket:
     flow_id: int
     size: int
     created: float
-    packet_id: int = field(default_factory=lambda: next(_hl_packet_ids))
+    packet_id: int = field(default_factory=_hl_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size <= 0:

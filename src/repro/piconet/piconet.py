@@ -27,7 +27,6 @@ from repro.baseband.channel import (
     ChannelMap,
     TransmissionResult,
     TX_NOT_RECEIVED,
-    TX_OK,
     coerce_channel_map,
 )
 from repro.baseband.constants import SLOT_US
@@ -52,7 +51,6 @@ from repro.schedulers.base import (
     KIND_SCO,
     Poller,
     PollOutcome,
-    SegmentDelivery,
     TransactionPlan,
 )
 from repro.sim.engine import Environment
@@ -170,8 +168,11 @@ class Piconet:
         self._specs_by_slave_cache: Optional[Dict[int, List[FlowSpec]]] = None
         #: whether the attached poller overrides Poller.notify (pollers
         #: that keep the base no-op never look at outcomes, so the hot
-        #: path skips building PollOutcome/SegmentDelivery entirely)
+        #: path skips building PollOutcome entirely)
         self._poller_wants_outcome = False
+        #: likewise for Poller.on_arrival: offer_packet skips the call
+        #: when the poller keeps the base no-op
+        self._poller_wants_arrivals = False
         #: link observers: ``fn(slave, direction, error)`` called for every
         #: observed data transmission; empty for every scenario that does
         #: not ask for budget-aware admission
@@ -430,6 +431,8 @@ class Piconet:
         """Attach the intra-piconet scheduler."""
         self.poller = poller
         self._poller_wants_outcome = type(poller).notify is not Poller.notify
+        self._poller_wants_arrivals = \
+            type(poller).on_arrival is not Poller.on_arrival
         poller.attach(self)
 
     def add_link_observer(self,
@@ -520,11 +523,11 @@ class Piconet:
                 parked.queue.push(packet)
                 return packet
             raise KeyError(f"unknown flow id {flow_id}")
-        packet = HLPacket(flow_id=flow_id, size=size, created=self.env.now)
+        packet = HLPacket(flow_id, size, self.env._now)
         state.queue.push(packet)
         # Only master-side (downlink) arrivals are visible to the poller: the
         # master has no knowledge of data availability at the slaves.
-        if self.poller is not None and state.spec.is_downlink:
+        if self._poller_wants_arrivals and state.spec.direction == DOWNLINK:
             self.poller.on_arrival(flow_id, packet)
         return packet
 
@@ -764,53 +767,45 @@ class Piconet:
 
         # -- downlink ------------------------------------------------------
         yield env.sleep(dl_slots * SLOT_US)
-        if dl_segment is None:
-            dl_result = TX_OK
-            dl_error = False
-        else:
+        dl_carried = False
+        if dl_segment is not None:
             if bridge_absent:  # presence at transaction start
                 dl_result = TX_NOT_RECEIVED
             else:
                 dl_result = self.channels.transmit(slave, DOWNLINK,
                                                    dl_packet, now_us=start)
-            dl_error = not dl_result.ok
-            if dl_error:
-                dl_state.record_failure(dl_result)
-            else:
+            dl_carried = dl_result.ok
+            if dl_carried:
                 dl_state.queue.confirm_segment()
-                delivery = self._deliver(dl_state, dl_segment,
-                                         build_delivery=wants_outcome)
-                if delivery is not None:
-                    deliveries.append(delivery)
-            self._observe_transmission(dl_state, dl_error)
+                self._deliver(dl_state, dl_segment)
+                if wants_outcome:
+                    deliveries.append(dl_segment)
+            else:
+                dl_state.record_failure(dl_result)
+            self._observe_transmission(dl_state, not dl_carried)
 
         # -- uplink ---------------------------------------------------------
         ul_start = env._now
         yield env.sleep(ul_slots * SLOT_US)
-        if ul_segment is None:
-            ul_result = TX_OK
-            ul_error = False
-        else:
+        ul_carried = False
+        if ul_segment is not None:
             if not self._slave_present(slave, ul_start):
                 ul_result = TX_NOT_RECEIVED
             else:
                 ul_result = self.channels.transmit(slave, UPLINK, ul_packet,
                                                    now_us=ul_start)
-            ul_error = not ul_result.ok
-            if ul_error:
-                ul_state.record_failure(ul_result)
-            else:
+            ul_carried = ul_result.ok
+            if ul_carried:
                 ul_state.queue.confirm_segment()
-                delivery = self._deliver(ul_state, ul_segment,
-                                         build_delivery=wants_outcome)
-                if delivery is not None:
-                    deliveries.append(delivery)
-            self._observe_transmission(ul_state, ul_error)
+                self._deliver(ul_state, ul_segment)
+                if wants_outcome:
+                    deliveries.append(ul_segment)
+            else:
+                ul_state.record_failure(ul_result)
+            self._observe_transmission(ul_state, not ul_carried)
 
         # -- accounting -----------------------------------------------------
         slots = dl_slots + ul_slots
-        dl_carried = dl_segment is not None and not dl_error
-        ul_carried = ul_segment is not None and not ul_error
         if plan.kind == KIND_GS:
             self.slots_gs += slots
             self.transactions_gs += 1
@@ -826,22 +821,8 @@ class Piconet:
         # so the objects are only built when someone will read them
         if not wants_outcome:
             return
-        self.poller.notify(PollOutcome(
-            plan=plan,
-            start=start,
-            end=env._now,
-            slots=slots,
-            dl_carried_data=dl_carried,
-            ul_carried_data=ul_carried,
-            dl_error=dl_error,
-            ul_error=ul_error,
-            dl_not_received=dl_segment is not None and not dl_result.received,
-            ul_not_received=ul_segment is not None and not ul_result.received,
-            dl_link=(slave, DOWNLINK),
-            ul_link=(slave, UPLINK),
-            bridge_absent=bridge_absent,
-            deliveries=deliveries,
-        ))
+        self.poller.notify(PollOutcome(plan, start, env._now, slots,
+                                       dl_carried, ul_carried, deliveries))
 
     def _skipped_outcome(self, plan: TransactionPlan) -> PollOutcome:
         """The zero-slot outcome of a negotiated skip (nothing on the air).
@@ -852,11 +833,7 @@ class Piconet:
         unsuccessful poll would, without consuming its slots.
         """
         now = self.env.now
-        return PollOutcome(
-            plan=plan, start=now, end=now, slots=0,
-            dl_carried_data=False, ul_carried_data=False,
-            bridge_absent=True,
-            dl_link=(plan.slave, DOWNLINK), ul_link=(plan.slave, UPLINK))
+        return PollOutcome(plan, now, now, 0, False, False)
 
     def _observe_transmission(self, state: FlowState, error: bool) -> None:
         """Feed one observed data transmission back to an adaptive policy."""
@@ -901,37 +878,15 @@ class Piconet:
                 # counted — a missed access code erases the whole frame,
                 # an uncorrected payload error garbles it.
                 state.sco_residual_errors += 1
-            self._deliver(state, segment, build_delivery=False)
+            self._deliver(state, segment)
 
-    def _deliver(self, state: FlowState, segment: BasebandPacket,
-                 build_delivery: bool = True) -> Optional[SegmentDelivery]:
-        """Book one delivered segment; the receipt object is optional.
-
-        The :class:`SegmentDelivery` receipt exists solely for
-        ``PollOutcome.deliveries``; callers whose poller never reads
-        outcomes pass ``build_delivery=False`` and get ``None`` back while
-        every statistic is updated identically.
-        """
+    def _deliver(self, state: FlowState, segment: BasebandPacket) -> None:
+        """Book one delivered segment and, if it completes its packet, the
+        packet's delay and bytes."""
         state.segments_delivered += 1
         state.delivered_segment_bytes += segment.payload
-        if build_delivery:
-            delivery = SegmentDelivery(
-                flow_id=state.spec.flow_id,
-                payload=segment.payload,
-                is_last_segment=segment.is_last_segment,
-                hl_packet_id=segment.hl_packet_id,
-                hl_packet_size=segment.hl_packet_size,
-                hl_arrival_time=segment.hl_arrival_time,
-            )
-        else:
-            delivery = None
-        result = state.reassembler.push(segment)
-        if result is not None:
-            arrival = result["arrival_time"]
-            delay_seconds = (self.env.now - arrival) / 1_000_000.0
-            state.delays.record(delay_seconds)
-            state.delivered_bytes += result["size"]
+        if state.reassembler.push(segment) is not None:
+            state.delays.record(
+                (self.env._now - segment.hl_arrival_time) / 1_000_000.0)
+            state.delivered_bytes += segment.hl_packet_size
             state.delivered_packets += 1
-            if delivery is not None:
-                delivery.completed_at = self.env.now
-        return delivery

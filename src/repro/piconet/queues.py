@@ -88,11 +88,7 @@ class FlowQueue:
             return
         packet = self._packets.popleft()
         self._segments.extend(self.policy.segment(
-            packet.size,
-            flow_id=packet.flow_id,
-            hl_packet_id=packet.packet_id,
-            arrival_time=packet.created,
-        ))
+            packet.size, packet.flow_id, packet.packet_id, packet.created))
 
     def __len__(self) -> int:
         return self.queued_packets

@@ -19,7 +19,6 @@ motivation; the ablation benchmark quantifies this.
 from repro.schedulers.base import (
     Poller,
     PollOutcome,
-    SegmentDelivery,
     TransactionPlan,
 )
 from repro.schedulers.round_robin import PureRoundRobinPoller
@@ -39,6 +38,5 @@ __all__ = [
     "Poller",
     "PollOutcome",
     "PureRoundRobinPoller",
-    "SegmentDelivery",
     "TransactionPlan",
 ]

@@ -1,22 +1,24 @@
 """Poller interface and the transaction data structures.
 
 The master's TDD loop (:class:`repro.piconet.piconet.Piconet`) and any
-scheduling policy communicate through three small objects:
+scheduling policy communicate through two small objects:
 
 * :class:`TransactionPlan` — the poller's decision for the next transaction:
   which slave to address and which flows (one per direction, optionally)
   the transaction serves.
-* :class:`SegmentDelivery` — one successfully delivered baseband segment,
-  with its reassembly metadata.
-* :class:`PollOutcome` — everything that happened during the transaction,
-  handed back to the poller so it can update its state (planned polls,
-  fairness accounting, availability predictions, ...).
+* :class:`PollOutcome` — what happened during the transaction, handed back
+  to the poller so it can update its state (planned polls, fairness
+  accounting, availability predictions, ...).  The segments it delivered
+  are the :class:`~repro.baseband.packets.BasebandPacket` objects
+  themselves, which carry their reassembly metadata.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.baseband.packets import BasebandPacket
 
 
 #: Transaction kinds, used for slot accounting.
@@ -67,30 +69,15 @@ class TransactionPlan:
 
 
 @dataclass(slots=True)
-class SegmentDelivery:
-    """One baseband segment successfully delivered to its destination."""
-
-    flow_id: int
-    payload: int
-    is_last_segment: bool
-    hl_packet_id: Optional[int]
-    hl_packet_size: int
-    hl_arrival_time: Optional[float]
-    #: completion time of the higher-layer packet (set when is_last_segment)
-    completed_at: Optional[float] = None
-
-
-@dataclass(slots=True)
 class PollOutcome:
-    """Everything the poller needs to know about an executed transaction.
+    """What the poller needs to know about an executed transaction.
 
-    ``dl_link`` / ``ul_link`` identify the directed ``(slave, direction)``
-    links the transaction used, so pollers and monitors can attribute the
-    per-direction results to the right channel.  ``dl_error`` / ``ul_error``
-    flag a failed data segment in that direction (it stays queued for ARQ);
-    ``dl_not_received`` / ``ul_not_received`` narrow the failure down to an
-    access-code/header loss (the receiver never saw the packet) as opposed
-    to a payload CRC failure.
+    ``dl_carried_data`` / ``ul_carried_data`` flag a data segment delivered
+    in that direction; a failed one stays queued for ARQ.  ``deliveries``
+    holds the delivered segments themselves (downlink first): each carries
+    its ``flow_id``, ``payload``, ``hl_packet_id``, ``hl_packet_size``,
+    ``hl_arrival_time`` and ``is_last_segment`` — a delivered last segment
+    completed its higher-layer packet.
     """
 
     plan: TransactionPlan
@@ -99,24 +86,24 @@ class PollOutcome:
     slots: int
     dl_carried_data: bool
     ul_carried_data: bool
-    dl_error: bool = False
-    ul_error: bool = False
-    dl_not_received: bool = False
-    ul_not_received: bool = False
-    #: the addressed slave was a scatternet bridge away in its other
-    #: piconet when the transaction started (guaranteed failure)
-    bridge_absent: bool = False
-    #: directed links used by the transaction, e.g. ``(3, "DL")``
-    dl_link: Optional[Tuple[int, str]] = None
-    ul_link: Optional[Tuple[int, str]] = None
-    deliveries: List[SegmentDelivery] = field(default_factory=list)
+    deliveries: List[BasebandPacket] = field(default_factory=list)
+
+    @property
+    def dl_link(self) -> Tuple[int, str]:
+        """The directed downlink the transaction used, e.g. ``(3, "DL")``."""
+        return (self.plan.slave, "DL")
+
+    @property
+    def ul_link(self) -> Tuple[int, str]:
+        """The directed uplink the transaction used, e.g. ``(3, "UL")``."""
+        return (self.plan.slave, "UL")
 
     @property
     def carried_any_data(self) -> bool:
         """Whether the transaction moved user data in either direction."""
         return self.dl_carried_data or self.ul_carried_data
 
-    def delivery_for(self, flow_id: int) -> Optional[SegmentDelivery]:
+    def delivery_for(self, flow_id: int) -> Optional[BasebandPacket]:
         """The delivery belonging to ``flow_id``, if any."""
         for delivery in self.deliveries:
             if delivery.flow_id == flow_id:

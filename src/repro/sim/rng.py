@@ -10,7 +10,27 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Callable, Dict
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform integer in ``[0, n)`` drawn with ``getrandbits``.
+
+    This is CPython's ``Random._randbelow_with_getrandbits`` loop, so for a
+    :class:`random.Random` ``rng``, ``randbelow(rng.getrandbits, n)`` gives
+    the same value as ``rng.randrange(n)`` (and ``low + randbelow(...,
+    high - low + 1)`` the same as ``rng.randint(low, high)``) and leaves
+    the stream in the same state, draw for draw.  Hot loops bind
+    ``getrandbits`` once and skip ``randrange``'s argument handling.
+    ``tests/sim/test_rng.py`` pins the equivalence.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for randbelow(): n={n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def derive_seed(master_seed: int, label: str) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.sim.rng import randbelow
+
 SizeSpec = Union[int, Tuple[int, int]]
 
 _US_PER_SECOND = 1_000_000
@@ -39,9 +41,14 @@ class TrafficSource:
 
     # -- packet sizes ----------------------------------------------------------
     def next_size(self) -> int:
+        """The next packet size: fixed, or uniform over ``(low, high)``.
+
+        Draws exactly what ``rng.randint(low, high)`` would
+        (:func:`~repro.sim.rng.randbelow`).
+        """
         if isinstance(self.size, tuple):
             low, high = self.size
-            return self.rng.randint(low, high)
+            return low + randbelow(self.rng.getrandbits, high - low + 1)
         return int(self.size)
 
     # -- life cycle ------------------------------------------------------------
@@ -60,45 +67,53 @@ class TrafficSource:
         """
         self._stopped = True
 
-    def _emit(self) -> None:
-        size = self.next_size()
-        self.piconet.offer_packet(self.flow_id, size)
-        self.packets_generated += 1
-        self.bytes_generated += size
-
     def _intervals(self):
         """Yield successive inter-packet gaps in seconds (subclasses override)."""
         raise NotImplementedError
 
-    def _delay_us(self, target_us: float) -> int:
-        """Clamped integer delay that tracks a continuous-time target.
-
-        Rounding every gap independently accumulates drift (a 1.4 us gap
-        rounded to 1 us inflates the emitted rate by 40%), and clamping to
-        the 1 us simulation resolution caps the rate at one packet per
-        microsecond.  Scheduling against the cumulative target keeps the
-        long-run emitted rate equal to the nominal rate for any gap that is
-        representable (>= 1 us on average); the clamp only binds when the
-        nominal rate genuinely exceeds the simulator's resolution.
-        """
-        return max(1, int(round(target_us)) - self.piconet.env.now)
-
     def _run(self):
+        # the loop runs once per packet: everything it touches is bound
+        # here, and the size draw is next_size() inlined
+        env = self.piconet.env
+        sleep = env.sleep
+        offer = self.piconet.offer_packet
+        flow_id = self.flow_id
+        size = self.size
+        uniform = isinstance(size, tuple)
+        if uniform:
+            low, high = size
+            span = high - low + 1
+            getrandbits = self.rng.getrandbits
+        else:
+            size = int(size)
         if self.start_offset > 0:
-            yield self.piconet.env.sleep(_to_us(self.start_offset))
-        target_us = float(self.piconet.env.now)
+            yield sleep(_to_us(self.start_offset))
+        # Each wait tracks the cumulative continuous-time target instead of
+        # rounding every gap on its own: rounding a 1.4 us gap to 1 us
+        # would inflate the emitted rate by 40%.  The long-run emitted rate
+        # stays nominal for any gap of >= 1 us on average; the 1 us clamp
+        # only binds when the nominal rate exceeds the simulator's
+        # resolution.
+        target_us = float(env._now)
         for gap in self._intervals():
             if self._stopped:
                 return
-            self._emit()
+            if uniform:
+                size = low + randbelow(getrandbits, span)
+            offer(flow_id, size)
+            self.packets_generated += 1
+            self.bytes_generated += size
+            now = env._now
             target_us += gap * _US_PER_SECOND
             # Cap how far the target may fall behind the clock at the 0.5 us
             # that integer rounding alone can produce: a larger deficit only
             # builds up while the >=1 us clamp binds (nominal rate above the
             # simulator resolution) and must not be "repaid" later as an
             # unrealistic burst.
-            target_us = max(target_us, self.piconet.env.now - 0.5)
-            yield self.piconet.env.sleep(self._delay_us(target_us))
+            if target_us < now - 0.5:
+                target_us = now - 0.5
+            delay = int(round(target_us)) - now
+            yield sleep(delay if delay > 1 else 1)
 
 
 class CBRSource(TrafficSource):
@@ -160,8 +175,9 @@ class OnOffSource(TrafficSource):
         self.mean_off = mean_off
 
     def _run(self):
+        env = self.piconet.env
         if self.start_offset > 0:
-            yield self.piconet.env.sleep(_to_us(self.start_offset))
+            yield env.sleep(_to_us(self.start_offset))
         while not self._stopped:
             on_duration = self.rng.expovariate(1.0 / self.mean_on)
             # Account the on-period in *simulated* time: the per-emission
@@ -169,17 +185,22 @@ class OnOffSource(TrafficSource):
             # nominal interval instead would stretch sub-microsecond
             # intervals into on-periods (and emitted packet counts) that
             # diverge from the simulation clock.
-            on_started = self.piconet.env.now
+            on_started = env.now
             target_us = float(on_started)
-            while self.piconet.env.now - on_started < _to_us(on_duration):
+            while env.now - on_started < _to_us(on_duration):
                 if self._stopped:
                     return
-                self._emit()
-                target_us += self.interval * _US_PER_SECOND
-                target_us = max(target_us, self.piconet.env.now - 0.5)
-                yield self.piconet.env.sleep(self._delay_us(target_us))
+                size = self.next_size()
+                self.piconet.offer_packet(self.flow_id, size)
+                self.packets_generated += 1
+                self.bytes_generated += size
+                # the cumulative target and clamps of TrafficSource._run
+                now = env.now
+                target_us = max(target_us + self.interval * _US_PER_SECOND,
+                                now - 0.5)
+                yield env.sleep(max(1, int(round(target_us)) - now))
             off_duration = self.rng.expovariate(1.0 / self.mean_off)
-            yield self.piconet.env.sleep(max(1, _to_us(off_duration)))
+            yield env.sleep(max(1, _to_us(off_duration)))
 
     def _intervals(self):  # pragma: no cover - _run is overridden
         raise NotImplementedError

@@ -296,6 +296,76 @@ def test_late_report_invalidates_existing_victim_caches():
         == fresh.count_collisions("p1", 400) > 0
 
 
+def _count_truncations(monkeypatch):
+    """Record the slot of every victim-cache truncation."""
+    from repro.baseband.interference import _VictimCache
+
+    truncated = []
+    original = _VictimCache.truncate
+
+    def truncate(cache, slot):
+        truncated.append(slot)
+        original(cache, slot)
+
+    monkeypatch.setattr(_VictimCache, "truncate", truncate)
+    return truncated
+
+
+def _causal_coupled_field(horizon=1500):
+    """Three coupled piconets in the causal event flow: each transaction
+    is reported at its start and looked up (its whole span) at its end,
+    the moment its packet has left the air; a piconet idles now and then
+    between transactions."""
+    names = ("p1", "p2", "p3")
+    # few channels, so that collisions are common
+    field = InterferenceField(streams=17, channels=5)
+    for name in names:
+        field.register_coupled(name)
+    rng = random.Random(3)
+    next_start = dict.fromkeys(names, 0)
+    on_air = {}
+    for now in range(horizon):
+        for name in names:
+            span = on_air.get(name)
+            if span is not None and span[0] + span[1] == now:
+                field.mean_collision_ber(name, *span)
+                del on_air[name]
+                next_start[name] = now + rng.choice((0, 0, 3))
+            if name not in on_air and next_start[name] == now:
+                slots = rng.choice((2, 4, 6))
+                field.report_transmission(name, now, slots)
+                on_air[name] = (now, slots)
+    return field, names
+
+
+def test_causal_reports_leave_victim_caches_untouched(monkeypatch):
+    truncated = _count_truncations(monkeypatch)
+    field, names = _causal_coupled_field()
+    assert truncated == []
+    for name in names:
+        assert [field.collisions(name, slot) for slot in range(1400)] \
+            == [field.collisions_pairwise(name, slot)
+                for slot in range(1400)]
+
+
+def test_out_of_order_report_truncates_and_rebuilds(monkeypatch):
+    truncated = _count_truncations(monkeypatch)
+    field, names = _causal_coupled_field()
+    p1, p2 = field.member("p1"), field.member("p2")
+    # a slot p1 was silent in, on the channel p2 radiated on
+    late = next(slot for slot in range(100, 1400)
+                if not p1.active_at(slot)
+                and p2.transmits_on(slot, p1.hops.channel_at(slot)))
+    before = field.collisions("p2", late)
+    field.report_transmission("p1", late, 1)
+    assert late in truncated
+    assert field.collisions("p2", late) == before + 1
+    for name in names:
+        assert [field.collisions(name, slot) for slot in range(1400)] \
+            == [field.collisions_pairwise(name, slot)
+                for slot in range(1400)]
+
+
 def test_recorder_reports_on_the_slot_grid():
     field = InterferenceField(streams=15)
     field.register_coupled("p1")

@@ -81,10 +81,12 @@ def test_reassembler_round_trip(paper_policy):
                                    arrival_time=1.0)
     results = [reassembler.push(p) for p in packets]
     assert all(r is None for r in results[:-1])
+    # the completing segment is the packet's receipt
     final = results[-1]
-    assert final["size"] == 500
-    assert final["flow_id"] == 1
-    assert final["hl_packet_id"] == 5
+    assert final is packets[-1]
+    assert final.hl_packet_size == 500
+    assert final.flow_id == 1
+    assert final.hl_packet_id == 5
     assert reassembler.pending == 0
 
 
@@ -94,8 +96,8 @@ def test_reassembler_interleaves_flows(paper_policy):
     flow_b = paper_policy.segment(300, flow_id=2, hl_packet_id=2)
     assert reassembler.push(flow_a[0]) is None
     assert reassembler.push(flow_b[0]) is None
-    assert reassembler.push(flow_a[1])["flow_id"] == 1
-    assert reassembler.push(flow_b[1])["flow_id"] == 2
+    assert reassembler.push(flow_a[1]).flow_id == 1
+    assert reassembler.push(flow_b[1]).flow_id == 2
 
 
 def test_reassembler_detects_out_of_order(paper_policy):
@@ -110,15 +112,16 @@ def test_reassembler_single_segment_packet(paper_policy):
     (packet,) = paper_policy.segment(150, flow_id=1, hl_packet_id=7,
                                      arrival_time=2.0)
     result = reassembler.push(packet)
-    assert result == {"flow_id": 1, "hl_packet_id": 7, "size": 150,
-                      "arrival_time": 2.0, "segments": [packet]}
+    assert result is packet
+    assert (result.flow_id, result.hl_packet_id, result.hl_packet_size,
+            result.hl_arrival_time) == (1, 7, 150, 2.0)
     assert reassembler.pending == 0
     # a single segment arriving while another packet is in reassembly
     first = paper_policy.segment(300, flow_id=1, hl_packet_id=8)
     assert reassembler.push(first[0]) is None
     (single,) = paper_policy.segment(20, flow_id=1, hl_packet_id=9)
-    assert reassembler.push(single)["size"] == 20
-    assert reassembler.push(first[1])["size"] == 300
+    assert reassembler.push(single).hl_packet_size == 20
+    assert reassembler.push(first[1]).hl_packet_size == 300
     assert reassembler.pending == 0
 
 
@@ -127,6 +130,22 @@ def test_reassembler_rejects_a_short_single_segment(paper_policy):
     packet.hl_packet_size = 151
     with pytest.raises(SegmentationError, match="expected 151"):
         Reassembler().push(packet)
+
+
+def test_reassembler_checks_every_packet_size(paper_policy):
+    # the last segment's hl_packet_size is what the receipt reports, so
+    # the received bytes must add up to it, for multi-segment packets too
+    first, last = paper_policy.segment(300, flow_id=1, hl_packet_id=4)
+    last.hl_packet_size = 301
+    reassembler = Reassembler()
+    assert reassembler.push(first) is None
+    with pytest.raises(SegmentationError, match="expected 301"):
+        reassembler.push(last)
+    # a size of 0 is no longer read as "unknown"
+    (single,) = paper_policy.segment(20, flow_id=2, hl_packet_id=5)
+    single.hl_packet_size = 0
+    with pytest.raises(SegmentationError, match="expected 0"):
+        Reassembler().push(single)
 
 
 def test_max_segment_slots(paper_policy):
@@ -209,3 +228,76 @@ def test_adaptive_policy_validates_thresholds():
         _adaptive(enter_robust=0.1, exit_robust=0.2)
     with pytest.raises(ValueError):
         _adaptive(min_observations=0)
+
+
+# ------------------------------------------------------------ the plan table
+
+def _greedy_reference(policy, size):
+    """The per-packet split the plan table replaced: greedy front-to-back
+    on the policy's ``choose_type``."""
+    remaining, pieces = size, []
+    while remaining > 0:
+        ptype = policy.choose_type(remaining)
+        take = min(remaining, ptype.max_payload)
+        pieces.append((ptype, take))
+        remaining -= take
+    return pieces
+
+
+def _factory_type_sets():
+    """Every ACL / SCO type set the scenario factories and packs use."""
+    from repro.experiments.channel_packs import DM_VS_DH_POLICIES
+    from repro.scenario.factories import ALLOWED_TYPES
+    from repro.scenario.specs import PiconetSpec
+
+    robust = PiconetSpec.__dataclass_fields__["robust_types"].default
+    sets = {tuple(ALLOWED_TYPES), tuple(robust), ("DH1",), ("HV3",)}
+    sets.update(tuple(types) for types, _ in DM_VS_DH_POLICIES.values())
+    return sorted(sets)
+
+
+#: beyond the largest configured packet (176 bytes): every type set
+#: splits into several segments somewhere in the range
+PLAN_SIZES = range(1, 1501)
+
+
+@pytest.mark.parametrize("types", _factory_type_sets())
+@pytest.mark.parametrize("policy_cls", [BestFitSegmentationPolicy,
+                                        LargestPacketSegmentationPolicy])
+def test_plan_table_matches_the_greedy_split(policy_cls, types):
+    policy = policy_cls(types)
+    for size in PLAN_SIZES:
+        expected = _greedy_reference(policy, size)
+        # a miss fills the table, a hit reads it: both must agree
+        assert policy.segment_sizes(size) == expected, size
+        assert list(policy.plan(size)) == expected, size
+        packets = policy.segment(size, flow_id=3, hl_packet_id=size,
+                                 arrival_time=7.0)
+        assert [(p.ptype, p.payload) for p in packets] == expected
+        assert [p.segment_index for p in packets] == list(range(len(expected)))
+        assert [p.is_last_segment for p in packets] \
+            == [False] * (len(expected) - 1) + [True]
+        assert all((p.flow_id, p.hl_packet_id, p.hl_packet_size,
+                    p.hl_arrival_time) == (3, size, size, 7.0)
+                   for p in packets)
+
+
+def test_adaptive_policy_segments_follow_quality_flips():
+    policy = _adaptive(enter_robust=0.3, exit_robust=0.1, min_observations=1)
+
+    def names(size):
+        return [p.ptype.name for p in policy.segment(size)]
+
+    # fill the fast mode's table first: a flip must not serve it stale
+    assert names(176) == ["DH3"]
+    assert names(200) == ["DH3", "DH1"]
+    for _ in range(50):
+        policy.observe_transmission(error=True)
+    assert policy.robust_active
+    assert names(176) == ["DM3", "DM3"]
+    assert names(200) == ["DM3", "DM3"]
+    for _ in range(100):
+        policy.observe_transmission(error=False)
+    assert not policy.robust_active
+    assert names(176) == ["DH3"]
+    assert names(200) == ["DH3", "DH1"]

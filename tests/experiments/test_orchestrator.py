@@ -211,6 +211,23 @@ def test_adaptive_batching_sizes_chunks_from_observed_cost():
     assert backend._next_batch_size(remaining=100) == 16
 
 
+def test_adaptive_batching_shrinks_the_tail_chunks():
+    backend = BatchingProcessBackend(max_workers=2,
+                                     target_batch_seconds=1.0,
+                                     max_batch_size=64)
+    # 1 ms per task: the cost alone asks for 1000-task chunks
+    backend._observe_batch(batch_seconds=0.001, batch_size=1)
+    assert backend._next_batch_size(remaining=1000) == 64
+    # near the end a chunk takes at most ceil(remaining / (2 * workers))
+    assert backend._next_batch_size(remaining=200) == 50
+    assert backend._next_batch_size(remaining=52) == 13
+    assert backend._next_batch_size(remaining=5) == 2
+    assert backend._next_batch_size(remaining=1) == 1
+    # free tasks too
+    backend._task_cost_ewma = 0.0
+    assert backend._next_batch_size(remaining=10) == 3
+
+
 def test_adaptive_batching_ewma_converges():
     backend = BatchingProcessBackend()
     backend._observe_batch(1.0, 1)

@@ -4,10 +4,11 @@
   still queued, or held by the reassembler as part of an incomplete
   packet — on every flow state (attached, parked or retired) of every
   piconet of every simulation experiment's golden configuration.
-* Schedule volume: figure5's golden configuration schedules a pinned
-  number of heap entries for a pinned number of transactions, so a change
-  that adds wake-ups per transaction fails here instead of only running
-  slower.
+* Schedule volume: figure5's and crowded_room_coupled's golden
+  configurations schedule a pinned number of heap entries for a pinned
+  number of transactions (and, coupled, collision lookups), so a change
+  that adds wake-ups or lookups per transaction fails here instead of
+  only running slower.
 
 The hook wraps ``CompiledScenario.run`` / ``CompiledPiconet.run`` and
 inspects the runtime objects right after each run returns.
@@ -15,6 +16,7 @@ inspects the runtime objects right after each run returns.
 
 import pytest
 
+from repro.baseband.interference import InterferenceField
 from repro.experiments.golden import GOLDEN_OVERRIDES, golden_result
 from repro.scenario.compile import CompiledPiconet, CompiledScenario
 
@@ -92,3 +94,33 @@ def test_figure5_schedule_volume_is_pinned(monkeypatch):
     _hook_runs(monkeypatch, record)
     golden_result("figure5")
     assert volume == FIGURE5_SCHEDULE_VOLUME
+
+
+#: crowded_room_coupled's golden configuration (2 and 4 coupled piconets,
+#: 1 s each), per run: heap entries scheduled (``env._eid``, one shared
+#: clock per room), transactions run over every piconet, and collision
+#: lookups (``InterferenceField.collisions`` / ``mean_collision_ber``
+#: calls) — pinned at the values before the packet-path rework
+CROWDED_ROOM_COUPLED_VOLUME = [(2576, 971, 626), (4965, 1849, 1345)]
+
+
+def test_crowded_room_coupled_schedule_volume_is_pinned(monkeypatch):
+    volume = []
+    lookups = [0]
+    for name in ("collisions", "mean_collision_ber"):
+        def counted(self, *args, _lookup=getattr(InterferenceField, name)):
+            lookups[0] += 1
+            return _lookup(self, *args)
+        monkeypatch.setattr(InterferenceField, name, counted)
+
+    def record(compiled):
+        piconets = _piconets(compiled)
+        volume.append((compiled.env._eid,
+                       sum(p.transactions_gs + p.transactions_be
+                           for p in piconets),
+                       lookups[0]))
+        lookups[0] = 0
+
+    _hook_runs(monkeypatch, record)
+    golden_result("crowded_room_coupled")
+    assert volume == CROWDED_ROOM_COUPLED_VOLUME

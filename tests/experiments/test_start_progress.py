@@ -89,6 +89,39 @@ def test_adaptive_batch_backend_reports_starts():
     assert len(collector.keys(EVENT_START)) == result.tasks_total
 
 
+@pytest.fixture
+def wide_experiment():
+    spec = register(ExperimentSpec(
+        name="wide-progress", description="48 cheap points",
+        run_point=cheap_run_point, grid={"x": list(range(48))}))
+    yield spec
+    unregister("wide-progress")
+
+
+# 4 workers on a 2-CPU host: more concurrent writers than cores
+@pytest.mark.parametrize("workers, batch_size",
+                         [(2, None), (2, 2), (4, None), (4, 3)])
+def test_pool_starts_arrive_once_before_done_without_a_manager(
+        workers, batch_size, wide_experiment, monkeypatch):
+    import multiprocessing.managers
+
+    def no_manager(*_args, **_kwargs):
+        raise AssertionError("a multiprocessing Manager was started")
+
+    monkeypatch.setattr(multiprocessing.managers.BaseManager, "start",
+                        no_manager)
+    backend = BatchingProcessBackend(max_workers=workers,
+                                     batch_size=batch_size)
+    collector, result = run_with(backend, "wide-progress")
+    per_task = {}
+    for progress in collector.events:
+        key = (progress.point_index, progress.replication)
+        per_task.setdefault(key, []).append(progress.event)
+    assert result.tasks_run == 48
+    assert per_task == {(i, 0): [EVENT_START, EVENT_DONE]
+                        for i in range(48)}
+
+
 def test_start_events_do_not_change_results(cheap_experiment):
     silent = SweepRunner(backend=SerialBackend()).run("cheap-progress")
     collector, observed = run_with(SerialBackend(), "cheap-progress")
